@@ -6,7 +6,8 @@ use fastmm_matrix::arena::ScratchArena;
 use fastmm_matrix::classical::{multiply_blocked, multiply_ikj, multiply_oblivious};
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::pack::{multiply_packed_into, multiply_packed_into_scalar};
-use fastmm_matrix::recursive::{multiply_strassen, multiply_winograd};
+use fastmm_matrix::recursive::multiply_scheme;
+use fastmm_matrix::scheme::{strassen, winograd};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,10 +28,10 @@ fn bench_kernels(c: &mut Criterion) {
             bch.iter(|| multiply_oblivious(&a, &b, 32))
         });
         group.bench_with_input(BenchmarkId::new("strassen_c32", n), &n, |bch, _| {
-            bch.iter(|| multiply_strassen(&a, &b, 32))
+            bch.iter(|| multiply_scheme(&strassen(), &a, &b, 32))
         });
         group.bench_with_input(BenchmarkId::new("winograd_c32", n), &n, |bch, _| {
-            bch.iter(|| multiply_winograd(&a, &b, 32))
+            bch.iter(|| multiply_scheme(&winograd(), &a, &b, 32))
         });
         // The packed BLIS-style base-case kernel (SIMD-dispatched, and its
         // forced-portable fallback) — the rows the e11 trajectory tracks.

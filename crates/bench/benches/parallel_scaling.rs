@@ -1,6 +1,4 @@
-//! Scaling benchmark of the engines: the legacy copy-out sequential
-//! engine vs the arena-backed `multiply_scheme` (the PR 4 acceptance
-//! target: arena ≥ 1.3x legacy at 2048² with the tuned cutoff) vs
+//! Scaling benchmark of the engines: the sequential `multiply_scheme` vs
 //! `multiply_scheme_parallel` across thread counts on a 2048x2048
 //! Strassen multiply, plus a smaller sweep showing where task granularity
 //! stops paying.
@@ -12,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::parallel::{multiply_scheme_parallel, ParallelConfig};
-use fastmm_matrix::recursive::{multiply_scheme, multiply_scheme_legacy};
+use fastmm_matrix::recursive::multiply_scheme;
 use fastmm_matrix::scheme::strassen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,10 +30,7 @@ fn bench_parallel_scaling(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(n as u64);
         let a = Matrix::<f64>::random(n, n, &mut rng);
         let b = Matrix::<f64>::random(n, n, &mut rng);
-        group.bench_with_input(BenchmarkId::new("sequential_legacy", n), &n, |bch, _| {
-            bch.iter(|| multiply_scheme_legacy(&scheme, &a, &b, cutoff))
-        });
-        group.bench_with_input(BenchmarkId::new("sequential_arena", n), &n, |bch, _| {
+        group.bench_with_input(BenchmarkId::new("sequential", n), &n, |bch, _| {
             bch.iter(|| multiply_scheme(&scheme, &a, &b, cutoff))
         });
         for threads in [1usize, 2, 4, 8] {

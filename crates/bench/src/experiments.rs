@@ -590,155 +590,119 @@ pub fn e10_parallel(n: usize, thread_counts: &[usize]) -> String {
     out
 }
 
-/// E11 — the sequential performance trajectory: an `n x scheme x engine`
-/// table of wall time, effective GFLOP/s (classical-equivalent `2n³`
-/// flops), and the default engine's modeled word traffic
-/// ([`fastmm_memsim::explicit::dfs_arena_io_recurrence_mkn`] via
+/// E11 — sequential fast MM against its real baseline: per `n`, one
+/// `classical` row (`multiply_scheme` at cutoff = `n`: the packed
+/// micro-kernel with no recursion, i.e. plain classical GEMM) and one row
+/// per fast scheme at the tuned cutoff (`FASTMM_CUTOFF` or the compiled
+/// default), with recursion levels, wall time, effective GFLOP/s
+/// (classical-equivalent `2n³` flops), `vs_classical` (classical time /
+/// row time: above 1 the recursion pays), and the engine's modeled word
+/// traffic ([`fastmm_memsim::explicit::dfs_arena_io_recurrence_mkn`] via
 /// [`seq_exec_report`]) against the Theorem 1.1/1.3 floor — both evaluated
 /// at `M = 3·cutoff²`, where the recursion bottoms out.
 ///
-/// Engines: `legacy` is the pre-arena copy-out recursion
-/// (`multiply_scheme_legacy`, kept as the golden baseline), `arena-ikj`
-/// is the zero-allocation arena recursion with the old cache-blocked ikj
-/// base case ([`fastmm_matrix::arena::multiply_into_unpacked`], kept so
-/// the trajectory across PRs separates "arena recursion" from "packed
-/// kernel" gains), and `packed` is the default engine behind
-/// `multiply_scheme` — arena recursion bottoming out in the BLIS-style
-/// packed micro-kernel ([`fastmm_matrix::pack`]), whose active SIMD
-/// dispatch level is printed in the header.
-///
-/// Every engine's product is checked against the legacy run before any
-/// time is reported: `arena-ikj` must be **bit-identical** in every
-/// build, `packed` is bit-identical in the default build (under the
-/// opt-in `fma` feature it fuses multiply-adds, so it is checked to a
-/// tolerance instead). A speedup row can never come from a wrong
-/// product. Each engine gets one untimed warm-up (the run the check
-/// uses, so first-touch page faults and cache warm-up are charged to
-/// nobody) and its reported time is the min of two timed repetitions.
-/// The cutoff is the tuned one (`FASTMM_CUTOFF` or the compiled
-/// default).
+/// Every scheme row's product is checked against the classical product
+/// to `1e-9·n` before any time is reported, so a speedup row can never
+/// come from a wrong product. Each row gets one untimed warm-up (the run
+/// the check uses, so first-touch page faults and cache warm-up are
+/// charged to nobody) and its reported time is the min of two timed
+/// repetitions.
 ///
 /// When `json_path` is `Some`, the table is also emitted as machine-
-/// readable JSON (`BENCH_seq.json`): one object per (scheme, n, engine)
-/// row — the artifact that tracks the perf trajectory across PRs.
+/// readable JSON (`BENCH_seq.json`): one object per (scheme, n) row.
 pub fn e11_repro_perf(ns: &[usize], json_path: Option<&str>) -> String {
-    use fastmm_matrix::arena::{multiply_into_unpacked, ScratchArena};
+    use fastmm_matrix::arena::{child_shape, splits};
     use fastmm_matrix::pack::active_simd_level;
     use std::time::Instant;
     let simd = active_simd_level();
     let fused = cfg!(feature = "fma");
     let mut out = String::new();
-    out.push_str("E11 Sequential perf trajectory: packed micro-kernel vs arena-ikj vs legacy\n");
+    out.push_str("E11 Sequential perf: fast schemes vs classical packed GEMM (no recursion)\n");
     out.push_str(&format!(
         "  simd={simd} fma={fused}; GFLOP/s uses classical-equivalent flops 2n^3; words\n"
     ));
     out.push_str("  model = arena DFS recurrence at M=3*cutoff^2 vs bound=(n/sqrtM)^w0*M\n");
     out.push_str(
-        "  scheme                n     engine     cutoff  time(s)    GFLOP/s  vs_legacy  \
+        "  scheme                n     cutoff  levels  time(s)    GFLOP/s  vs_classical  \
          words_model     bound        model/bound\n",
     );
     let cutoff = resolve_cutoff(0);
+    let classical = classical_scheme(2);
     let schemes = [strassen(), winograd()];
     let mut json_rows: Vec<String> = Vec::new();
-    let arena_ikj = |scheme: &BilinearScheme, a: &Matrix<f64>, b: &Matrix<f64>, cutoff: usize| {
-        let mut arena = ScratchArena::new();
-        let mut c = Matrix::zeros(a.rows(), b.cols());
-        multiply_into_unpacked(
-            scheme,
-            a.view(),
-            b.view(),
-            &mut c.view_mut(),
-            cutoff,
-            &mut arena,
-        );
-        c
+    let time_min = |f: &dyn Fn() -> Matrix<f64>| {
+        (0..2)
+            .map(|_| {
+                let t = Instant::now();
+                std::hint::black_box(f());
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
     };
-    for scheme in &schemes {
-        for &n in ns {
-            let mut rng = StdRng::seed_from_u64(0xE11 + n as u64);
-            let a = Matrix::<f64>::random(n, n, &mut rng);
-            let b = Matrix::<f64>::random(n, n, &mut rng);
-            let flops = 2.0 * (n as f64).powi(3);
-            // Untimed warm-up runs: they feed the correctness checks and
-            // absorb first-touch/cache effects, charged to no engine.
-            let legacy = multiply_scheme_legacy(scheme, &a, &b, cutoff);
-            let ikj = arena_ikj(scheme, &a, &b, cutoff);
-            let packed = multiply_scheme(scheme, &a, &b, cutoff);
+    for &n in ns {
+        let mut rng = StdRng::seed_from_u64(0xE11 + n as u64);
+        let a = Matrix::<f64>::random(n, n, &mut rng);
+        let b = Matrix::<f64>::random(n, n, &mut rng);
+        let flops = 2.0 * (n as f64).powi(3);
+        // Untimed warm-up run of the baseline; its product is the
+        // reference every scheme row is checked against.
+        let reference = multiply_scheme(&classical, &a, &b, n);
+        let classical_secs = time_min(&|| multiply_scheme(&classical, &a, &b, n));
+        let mut rows = vec![("classical", &classical, n, classical_secs)];
+        for scheme in &schemes {
+            let product = multiply_scheme(scheme, &a, &b, cutoff);
+            let tol = 1e-9 * n as f64;
             assert!(
-                ikj.bits_eq(&legacy),
-                "{} n={n}: arena-ikj output not bit-identical to legacy",
+                product.max_abs_diff(&reference, |x| x) < tol,
+                "{} n={n}: product drifted past {tol:e} from the classical product",
                 scheme.name
             );
-            if fused {
-                let tol = 1e-9 * n as f64;
-                assert!(
-                    packed.max_abs_diff(&legacy, |x| x) < tol,
-                    "{} n={n}: packed (fma) output drifted past {tol:e} from legacy",
-                    scheme.name
-                );
-            } else {
-                assert!(
-                    packed.bits_eq(&legacy),
-                    "{} n={n}: packed output not bit-identical to legacy",
-                    scheme.name
-                );
+            rows.push((
+                scheme.name.as_str(),
+                scheme,
+                cutoff,
+                time_min(&|| multiply_scheme(scheme, &a, &b, cutoff)),
+            ));
+        }
+        for (label, scheme, row_cutoff, secs) in rows {
+            let mut levels = 0usize;
+            let mut shape = (n, n, n);
+            while splits(scheme.dims(), shape, row_cutoff) {
+                shape = child_shape(scheme.dims(), shape);
+                levels += 1;
             }
-            let time_min = |f: &dyn Fn() -> Matrix<f64>| {
-                (0..2)
-                    .map(|_| {
-                        let t = Instant::now();
-                        std::hint::black_box(f());
-                        t.elapsed().as_secs_f64()
-                    })
-                    .fold(f64::INFINITY, f64::min)
-            };
-            let legacy_secs = time_min(&|| multiply_scheme_legacy(scheme, &a, &b, cutoff));
-            let ikj_secs = time_min(&|| arena_ikj(scheme, &a, &b, cutoff));
-            let packed_secs = time_min(&|| multiply_scheme(scheme, &a, &b, cutoff));
-            let rep = seq_exec_report(scheme, n, cutoff);
-            for (engine, secs, vs_legacy) in [
-                ("legacy", legacy_secs, String::new()),
-                (
-                    "arena-ikj",
-                    ikj_secs,
-                    format!("{:.2}x", legacy_secs / ikj_secs),
-                ),
-                (
-                    "packed",
-                    packed_secs,
-                    format!("{:.2}x", legacy_secs / packed_secs),
-                ),
-            ] {
-                out.push_str(&format!(
-                    "  {:<21} {:<5} {:<10} {:<7} {:<10.4} {:<8.3} {:<10} {:<15.4e} {:<12.4e} {:.3}\n",
-                    scheme.name,
-                    n,
-                    engine,
-                    rep.cutoff,
-                    secs,
-                    flops / secs / 1e9,
-                    vs_legacy,
-                    rep.arena_words,
-                    rep.seq_bound_words,
-                    rep.arena_words / rep.seq_bound_words
-                ));
-                json_rows.push(format!(
-                    "  {{\"scheme\": {:?}, \"n\": {n}, \"engine\": {engine:?}, \
-                     \"cutoff\": {}, \"simd\": \"{simd}\", \"fma\": {fused}, \
-                     \"seconds\": {secs:.6}, \"gflops\": {:.4}, \
-                     \"words_model\": {:.1}, \"bound_words\": {:.1}}}",
-                    scheme.name,
-                    rep.cutoff,
-                    flops / secs / 1e9,
-                    rep.arena_words,
-                    rep.seq_bound_words
-                ));
-            }
+            let rep = seq_exec_report(scheme, n, row_cutoff);
+            let vs_classical = classical_secs / secs;
+            out.push_str(&format!(
+                "  {:<21} {:<5} {:<7} {:<7} {:<10.4} {:<8.3} {:<13} {:<15.4e} {:<12.4e} {:.3}\n",
+                label,
+                n,
+                rep.cutoff,
+                levels,
+                secs,
+                flops / secs / 1e9,
+                format!("{vs_classical:.2}x"),
+                rep.arena_words,
+                rep.seq_bound_words,
+                rep.arena_words / rep.seq_bound_words
+            ));
+            json_rows.push(format!(
+                "  {{\"scheme\": {:?}, \"n\": {n}, \"cutoff\": {}, \"levels\": {levels}, \
+                 \"simd\": \"{simd}\", \"fma\": {fused}, \"seconds\": {secs:.6}, \
+                 \"gflops\": {:.4}, \"vs_classical\": {vs_classical:.4}, \
+                 \"words_model\": {:.1}, \"bound_words\": {:.1}}}",
+                label,
+                rep.cutoff,
+                flops / secs / 1e9,
+                rep.arena_words,
+                rep.seq_bound_words
+            ));
         }
     }
     out.push_str(
-        "  (every engine row is verified against its legacy row before timing — bitwise \
-         unless fma fuses; model/bound flat across n = the Eq. 1 shape)\n",
+        "  (every scheme row is checked against the classical row's product to 1e-9*n \
+         before timing; vs_classical = classical time / row time; model/bound flat \
+         across n = the Eq. 1 shape)\n",
     );
     if let Some(path) = json_path {
         let json = format!("[\n{}\n]\n", json_rows.join(",\n"));

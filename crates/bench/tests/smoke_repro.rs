@@ -127,30 +127,31 @@ fn e10_golden_header_and_bound_formulas() {
 #[test]
 fn e11_perf_trajectory_smoke() {
     // repro_perf defaults to n = 256/512/1024; the report's shape (and the
-    // internal arena-vs-legacy bitwise assertion) is complete at small n.
+    // internal scheme-vs-classical accuracy check) is complete at small n.
     assert_report(
         "e11",
         &exp::e11_repro_perf(&[64, 96], None),
-        "Sequential perf trajectory",
+        "Sequential perf",
         8,
     );
 }
 
 #[test]
 fn e11_golden_header_rows_and_json_emit() {
-    // Golden check: headline columns, all three engines per (scheme, n),
-    // the bound formula, and a well-formed BENCH_seq.json emit. The bound
-    // formula string must stay verbatim (downstream tooling greps for it,
-    // as with e10).
+    // Golden check: headline columns, the classical baseline plus both
+    // schemes per n, the bound formula, and a well-formed BENCH_seq.json
+    // emit. The bound formula string must stay verbatim (downstream
+    // tooling greps for it, as with e10).
     let path = "target/test_BENCH_seq.json";
     let out = exp::e11_repro_perf(&[64], Some(path));
     for needle in [
         "GFLOP/s",
-        "vs_legacy",
+        "vs_classical",
+        "levels",
         "words_model",
         "simd=",
         "bound=(n/sqrtM)^w0*M",
-        "verified against its legacy row",
+        "checked against the classical row",
         "machine-readable emit",
     ] {
         assert!(
@@ -158,22 +159,21 @@ fn e11_golden_header_rows_and_json_emit() {
             "e11: expected {needle:?} in output:\n{out}"
         );
     }
-    for scheme in ["strassen", "winograd"] {
-        for engine in ["legacy", "arena-ikj", "packed"] {
-            assert!(
-                out.lines()
-                    .any(|l| l.contains(scheme) && l.contains(engine)),
-                "e11: missing row {scheme}/{engine}:\n{out}"
-            );
-        }
+    for scheme in ["classical", "strassen", "winograd"] {
+        assert!(
+            out.lines().any(|l| l.trim_start().starts_with(scheme)),
+            "e11: missing row {scheme}:\n{out}"
+        );
     }
     let json = std::fs::read_to_string(path).expect("BENCH_seq.json written");
     assert!(json.trim_start().starts_with('['));
     assert!(json.trim_end().ends_with(']'));
     for needle in [
-        "\"engine\": \"legacy\"",
-        "\"engine\": \"arena-ikj\"",
-        "\"engine\": \"packed\"",
+        "\"scheme\": \"classical\"",
+        "\"scheme\": \"strassen\"",
+        "\"scheme\": \"winograd\"",
+        "\"levels\"",
+        "\"vs_classical\"",
         "\"simd\"",
         "\"gflops\"",
         "\"words_model\"",
@@ -185,8 +185,8 @@ fn e11_golden_header_rows_and_json_emit() {
             "BENCH_seq.json missing {needle}:\n{json}"
         );
     }
-    // one object per scheme x n x engine row
-    assert_eq!(json.matches("\"scheme\"").count(), 6);
+    // one object per (scheme, n) row, the classical baseline included
+    assert_eq!(json.matches("\"scheme\"").count(), 3);
 }
 
 #[test]

@@ -19,7 +19,7 @@
 //!
 //! let a = Matrix::<i64>::identity(8);
 //! let b = Matrix::<i64>::identity(8);
-//! let c = multiply_strassen(&a, &b, 2);
+//! let c = multiply_scheme(&strassen(), &a, &b, 2);
 //! assert_eq!(c, Matrix::identity(8));
 //!
 //! let bound = seq_bandwidth_lower_bound(STRASSEN, 1024, 4096);
@@ -57,17 +57,13 @@ pub mod prelude {
         all_params, SchemeParams, CLASSICAL, CLASSICAL_2X2X3, LADERMAN, RECT_2X2X4, RECT_2X4X2,
         STRASSEN, STRASSEN_SQUARED,
     };
-    pub use fastmm_matrix::arena::multiply_into;
-    pub use fastmm_matrix::classical::{
-        multiply_blocked, multiply_ikj, multiply_kernel, multiply_naive,
-    };
+    pub use fastmm_matrix::arena::{multiply_into, ScratchArena};
+    pub use fastmm_matrix::classical::{multiply_blocked, multiply_ikj, multiply_naive};
     pub use fastmm_matrix::parallel::{
-        multiply_scheme_parallel, plan_bfs_dfs, BfsDfsPlan, ParallelConfig, ScratchArena,
+        multiply_scheme_parallel, plan_bfs_dfs, BfsDfsPlan, ParallelConfig,
     };
     pub use fastmm_matrix::recursive::{
-        multiply_non_stationary, multiply_scheme, multiply_scheme_legacy, multiply_scheme_padded,
-        multiply_scheme_tuned, multiply_strassen, multiply_winograd, scheme_op_count,
-        scheme_op_count_mkn,
+        multiply_non_stationary, multiply_scheme, scheme_op_count, scheme_op_count_mkn,
     };
     pub use fastmm_matrix::scheme::{
         classical_rect, classical_scheme, strassen, strassen_2x2x4, winograd, winograd_2x4x2,

@@ -1,4 +1,4 @@
-//! The zero-allocation arena recursion — the single hot-path engine behind
+//! The zero-allocation arena recursion — the one sequential engine, behind
 //! [`multiply_scheme`](crate::recursive::multiply_scheme),
 //! [`multiply_scheme_parallel`](crate::parallel::multiply_scheme_parallel)
 //! (both its `threads == 1` fast path and every DFS leaf of the BFS task
@@ -29,25 +29,20 @@
 //!
 //! ## Bit-determinism
 //!
-//! The engine preserves the historical scalar arithmetic exactly: encode
-//! accumulates blocks in ascending `q`, products run in order
-//! `l = 0, 1, …, r-1`, decode accumulates `W`-column nonzeros in ascending
-//! `q`, and the base case is the packed micro-kernel
-//! [`multiply_packed_into`], whose
-//! default build is bit-identical to `multiply_ikj` (see the
-//! [`crate::pack`] contract) — exactly like the cache-blocked kernel it
-//! replaced. Outputs are therefore bit-identical to the legacy copy-out
-//! engine
-//! ([`multiply_scheme_legacy`](crate::recursive::multiply_scheme_legacy))
-//! at every cutoff and thread count — enforced by the determinism suite
-//! (`crates/matrix/tests/determinism.rs`). [`multiply_into_unpacked`]
-//! keeps the old base case callable as the perf-trajectory baseline.
+//! The engine fixes its scalar arithmetic exactly: encode accumulates
+//! blocks in ascending `q`, products run in order `l = 0, 1, …, r-1`,
+//! decode accumulates `W`-column nonzeros in ascending `q`, and the base
+//! case is the packed micro-kernel [`multiply_packed_into`], whose default
+//! build is bit-identical to `multiply_ikj` (see the [`crate::pack`]
+//! contract). Outputs are therefore bit-identical to a plain copy-out
+//! recursion over `multiply_ikj` at every cutoff and thread count — the
+//! determinism suite (`crates/matrix/tests/determinism.rs`) keeps such a
+//! recursion as its test oracle and enforces this.
 //!
 //! The packed base case adds `Θ(mk + kn)` pack-buffer traffic per leaf —
 //! within the `O(n²)`-per-node constant of the Equation (1) recurrence the
 //! word-traffic model charges, so the modeled asymptotics are unchanged.
 
-use crate::classical::multiply_kernel_into;
 use crate::dense::{MatMut, MatRef};
 use crate::pack::multiply_packed_into;
 use crate::scalar::Scalar;
@@ -299,8 +294,9 @@ pub fn decode_product_into<T: Scalar>(
 
 /// The arena recursion: computes `c = a * b` into a **zeroed** `c` with
 /// `scheme`, padding per level on non-divisible shapes and running the
-/// cache-blocked base kernel below `cutoff`, with every temporary drawn
-/// from — and returned to — `arena`.
+/// packed base kernel ([`multiply_packed_into`]) below `cutoff`, with
+/// every temporary (pack panels included) drawn from — and returned to —
+/// `arena`.
 ///
 /// Zero-dimension shapes are defined: if any of `M`, `K`, `N` is zero the
 /// product is the all-zero `M x N` matrix (empty when `M` or `N` is zero),
@@ -331,37 +327,6 @@ pub fn multiply_into<T: Scalar>(
     cutoff: usize,
     arena: &mut ScratchArena<T>,
 ) {
-    multiply_into_impl::<T, true>(scheme, a, b, c, cutoff, arena);
-}
-
-/// [`multiply_into`] with the pre-packing cache-blocked ikj base case
-/// ([`multiply_kernel_into`]) instead of the packed micro-kernel — kept
-/// callable as the perf-trajectory baseline (the `arena-ikj` rows of the
-/// e11 `repro_perf` table), so the kernel swap stays measurable across
-/// PRs. Bit-identical to [`multiply_into`] in the default build (both
-/// base cases reproduce `multiply_ikj` exactly); under the `fma` feature
-/// this variant keeps the unfused arithmetic.
-pub fn multiply_into_unpacked<T: Scalar>(
-    scheme: &BilinearScheme,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    cutoff: usize,
-    arena: &mut ScratchArena<T>,
-) {
-    multiply_into_impl::<T, false>(scheme, a, b, c, cutoff, arena);
-}
-
-/// The recursion body, monomorphized over the base-case choice so the
-/// packed default pays no per-leaf branch.
-fn multiply_into_impl<T: Scalar, const PACKED: bool>(
-    scheme: &BilinearScheme,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    cutoff: usize,
-    arena: &mut ScratchArena<T>,
-) {
     let shape = (a.rows(), a.cols(), b.cols());
     // Zero-dimension operands: the product is the all-zero `M x N` matrix
     // (empty when M or N is 0) and `c` enters zeroed, so there is nothing
@@ -372,11 +337,7 @@ fn multiply_into_impl<T: Scalar, const PACKED: bool>(
     }
     let dims = scheme.dims();
     if !splits(dims, shape, cutoff) {
-        if PACKED {
-            multiply_packed_into(a, b, c, arena);
-        } else {
-            multiply_kernel_into(a, b, c);
-        }
+        multiply_packed_into(a, b, c, arena);
         return;
     }
     let (mm, kk, nn) = shape;
@@ -390,7 +351,7 @@ fn multiply_into_impl<T: Scalar, const PACKED: bool>(
         let mut pb = arena.take_any(pk * pn);
         MatMut::from_slice(&mut pb, pk, pn).zero_extend_from(b);
         let mut pc = arena.take(pm * pn);
-        multiply_into_impl::<T, PACKED>(
+        multiply_into(
             scheme,
             MatRef::from_slice(&pa, pm, pk),
             MatRef::from_slice(&pb, pk, pn),
@@ -415,7 +376,7 @@ fn multiply_into_impl<T: Scalar, const PACKED: bool>(
         tb.fill(T::zero());
         encode_b_into(scheme, b, l, &mut MatMut::from_slice(&mut tb, sk, sn));
         mbuf.fill(T::zero());
-        multiply_into_impl::<T, PACKED>(
+        multiply_into(
             scheme,
             MatRef::from_slice(&ta, sm, sk),
             MatRef::from_slice(&tb, sk, sn),
@@ -613,45 +574,6 @@ mod tests {
                         .zip(reference.as_slice())
                         .all(|(x, y)| x.to_bits() == y.to_bits()),
                     "{} {mm}x{kk}x{nn}",
-                    scheme.name
-                );
-            }
-        }
-    }
-
-    #[cfg(not(feature = "fma"))]
-    #[test]
-    fn packed_and_unpacked_base_cases_agree_bitwise() {
-        // The kernel swap must be invisible: the packed default and the
-        // legacy ikj base case produce identical bits at every cutoff.
-        let mut rng = StdRng::seed_from_u64(68);
-        let mut arena = ScratchArena::new();
-        for scheme in all_schemes() {
-            let (mm, kk, nn) = (37usize, 41usize, 29usize);
-            let a = Matrix::<f64>::random(mm, kk, &mut rng);
-            let b = Matrix::<f64>::random(kk, nn, &mut rng);
-            for cutoff in [1usize, 8, 64] {
-                let mut packed = Matrix::zeros(mm, nn);
-                multiply_into(
-                    &scheme,
-                    a.view(),
-                    b.view(),
-                    &mut packed.view_mut(),
-                    cutoff,
-                    &mut arena,
-                );
-                let mut unpacked = Matrix::zeros(mm, nn);
-                multiply_into_unpacked(
-                    &scheme,
-                    a.view(),
-                    b.view(),
-                    &mut unpacked.view_mut(),
-                    cutoff,
-                    &mut arena,
-                );
-                assert!(
-                    packed.bits_eq(&unpacked),
-                    "{} cutoff={cutoff}: packed base case changed bits",
                     scheme.name
                 );
             }

@@ -73,39 +73,23 @@ pub fn multiply_blocked<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, tile: usize) ->
     c
 }
 
-/// `c += a * b` on views — the base-case kernel shared by the recursive
-/// engines.
-pub fn accumulate_product<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    assert_eq!(c.rows(), a.rows());
-    assert_eq!(c.cols(), b.cols());
-    for i in 0..a.rows() {
-        for l in 0..a.cols() {
-            let aval = a.get(i, l);
-            for j in 0..b.cols() {
-                let v = c.get(i, j).add(aval.mul(b.get(l, j)));
-                c.set(i, j, v);
-            }
-        }
-    }
-}
-
 /// Output-tile width of [`multiply_kernel_into`]: 64 elements keeps one
 /// `C`-row tile plus one `B`-row tile inside an L1 line budget for `f64`
 /// while leaving the inner dimension unblocked (see bit-compat note below).
 const KERNEL_TILE: usize = 64;
 
-/// Cache-blocked accumulating micro-kernel: `C += A * B` on views, tiled
-/// over the output columns with the inner dimension streamed in ascending
-/// order. This is the base-case kernel of the recursive engines
-/// (sequential and parallel), replacing the plain [`multiply_ikj`] loop.
+/// Cache-blocked accumulating kernel: `C += A * B` on views, tiled over
+/// the output columns with the inner dimension streamed in ascending
+/// order — the one view-level classical loop. The packed micro-kernel
+/// ([`crate::pack::multiply_packed_into`]) runs it on shapes too small to
+/// be worth packing, and [`multiply_recursive_oblivious`] at its leaves.
 ///
 /// **Bit-compatibility:** per output element the floating-point operations
 /// are exactly those of [`multiply_ikj`], in the same order (`k`
 /// ascending) — tiling only the `i`/`j` loops never reassociates a dot
 /// product. Starting from a zeroed `C` the result is therefore
-/// bit-identical to `multiply_ikj`, which is what lets the parallel
-/// determinism suite compare engines bitwise. The speed comes from row
+/// bit-identical to `multiply_ikj`, which is what lets the determinism
+/// suite compare engines bitwise. The speed comes from row
 /// slices (no per-element index arithmetic, bounds checks hoisted, inner
 /// loop autovectorizes) and from keeping the active `B`/`C` row tiles hot.
 pub fn multiply_kernel_into<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
@@ -128,17 +112,9 @@ pub fn multiply_kernel_into<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>, c: &m
     }
 }
 
-/// Allocating wrapper around [`multiply_kernel_into`]: `C = A * B` from a
-/// zeroed output (bit-identical to [`multiply_ikj`]).
-pub fn multiply_kernel<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    multiply_kernel_into(a.view(), b.view(), &mut c.view_mut());
-    c
-}
-
 /// Cache-oblivious recursive classical multiplication (Frigo et al. 1999):
 /// split the largest dimension in half until the problem is tiny, then run
-/// the straight-line kernel. `C += A * B`.
+/// [`multiply_kernel_into`]. `C += A * B`.
 pub fn multiply_recursive_oblivious<T: Scalar>(
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
@@ -148,7 +124,7 @@ pub fn multiply_recursive_oblivious<T: Scalar>(
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(k, b.rows());
     if m <= leaf && k <= leaf && n <= leaf {
-        accumulate_product(a, b, c);
+        multiply_kernel_into(a, b, c);
         return;
     }
     if m >= k && m >= n {
@@ -244,8 +220,8 @@ mod tests {
 
     #[test]
     fn kernel_matches_ikj_bitwise_f64() {
-        // The contract the parallel determinism suite builds on: the blocked
-        // micro-kernel is bit-identical to multiply_ikj, including shapes
+        // The contract the packed kernel's small-shape path builds on: the
+        // blocked kernel is bit-identical to multiply_ikj, including shapes
         // that straddle the tile boundary.
         let mut rng = StdRng::seed_from_u64(123);
         for (m, k, n) in [
@@ -256,39 +232,32 @@ mod tests {
         ] {
             let a = Matrix::<f64>::random(m, k, &mut rng);
             let b = Matrix::<f64>::random(k, n, &mut rng);
-            let fast = multiply_kernel(&a, &b);
-            let reference = multiply_ikj(&a, &b);
-            assert_eq!(
-                fast.as_slice()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                reference
-                    .as_slice()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                "{m}x{k}x{n}"
-            );
+            let mut fast = Matrix::zeros(m, n);
+            multiply_kernel_into(a.view(), b.view(), &mut fast.view_mut());
+            assert!(fast.bits_eq(&multiply_ikj(&a, &b)), "{m}x{k}x{n}");
         }
     }
 
     #[test]
-    fn kernel_accumulates_like_accumulate_product() {
-        let (a, b) = sample(10, 42);
-        let mut c1 = Matrix::from_fn(10, 10, |i, j| (i + j) as i64);
-        let mut c2 = c1.clone();
-        multiply_kernel_into(a.view(), b.view(), &mut c1.view_mut());
-        accumulate_product(a.view(), b.view(), &mut c2.view_mut());
-        assert_eq!(c1, c2);
-    }
-
-    #[test]
     fn accumulate_product_accumulates() {
+        // C += A·B: a known answer on a dirty C.
         let a = Matrix::from_vec(2, 2, vec![1i64, 0, 0, 1]);
         let b = Matrix::from_vec(2, 2, vec![5i64, 6, 7, 8]);
         let mut c = Matrix::from_vec(2, 2, vec![1i64, 1, 1, 1]);
-        accumulate_product(a.view(), b.view(), &mut c.view_mut());
+        multiply_kernel_into(a.view(), b.view(), &mut c.view_mut());
         assert_eq!(c.as_slice(), &[6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn kernel_accumulates_like_accumulate_product() {
+        // A product wider than one output tile added onto a nonzero C equals
+        // C + A·B computed separately.
+        let mut rng = StdRng::seed_from_u64(42);
+        let a = Matrix::random_int(10, 7, 50, &mut rng);
+        let b = Matrix::random_int(7, 70, 50, &mut rng);
+        let init = Matrix::from_fn(10, 70, |i, j| (i + j) as i64);
+        let mut c = init.clone();
+        multiply_kernel_into(a.view(), b.view(), &mut c.view_mut());
+        assert_eq!(c, init.add(&multiply_naive(&a, &b)));
     }
 }

@@ -220,7 +220,7 @@ impl Matrix<f64> {
     /// Bit-pattern equality: same dimensions and every element's
     /// `f64::to_bits` identical (so `-0.0 ≠ 0.0` and NaN payloads
     /// compare exactly — stricter than `==`). The single-sourced check
-    /// behind every bit-determinism witness (arena vs legacy engine,
+    /// behind every bit-determinism witness (engine vs copy-out oracle,
     /// parallel vs sequential, distributed gather vs `multiply_scheme`).
     pub fn bits_eq(&self, other: &Self) -> bool {
         (self.rows, self.cols) == (other.rows, other.cols)

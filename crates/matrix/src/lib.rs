@@ -12,15 +12,17 @@
 //!   Section 5.1, with Brent-equation verification, straight-line programs
 //!   (Strassen's 18 vs Winograd's 15 additions), and tensor products;
 //! * [`arena`] — the zero-allocation strided arena recursion with fused
-//!   encode/decode row kernels: the single hot-path engine behind the
-//!   sequential, parallel, and non-stationary entry points;
-//! * [`pack`] — the BLIS-style packed micro-kernel base case (runtime
-//!   SIMD dispatch, bit-identical to `multiply_ikj` in the default
-//!   build) shared by every engine through [`arena::multiply_into`];
-//! * [`recursive`] — the recursive Strassen-like entry points and exact
+//!   encode/decode row kernels: the one sequential engine, also run by
+//!   every parallel DFS leaf, with its pieces shared by the non-stationary
+//!   and distributed engines;
+//! * [`pack`] — the BLIS-style packed micro-kernel (runtime SIMD
+//!   dispatch, bit-identical to `multiply_ikj` in the default build): the
+//!   one base case, shared by every engine through
+//!   [`arena::multiply_into`];
+//! * [`recursive`] — the recursive Strassen-like entry points
+//!   ([`recursive::multiply_scheme`], the non-stationary hybrid) and exact
 //!   arithmetic operation counts realizing
-//!   `T(n) = m(n₀)·T(n/n₀) + O(n²) = Θ(n^{ω₀})` (plus the legacy copy-out
-//!   engine, kept as the bitwise golden reference);
+//!   `T(n) = m(n₀)·T(n/n₀) + O(n²) = Θ(n^{ω₀})`;
 //! * [`parallel`] — the shared-memory work-stealing engine with the
 //!   CAPS-style memory-aware BFS/DFS schedule, bit-identical to the
 //!   sequential engine at every thread count;

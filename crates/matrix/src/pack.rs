@@ -1,5 +1,5 @@
 //! BLIS-style packed micro-kernel — the near-peak base case of every
-//! engine.
+//! engine, and the only one.
 //!
 //! [`multiply_packed_into`] computes `C += A·B` with the classic five-loop
 //! GEMM structure (Goto/van de Geijn; BLIS): the operands are repacked into
@@ -33,10 +33,9 @@
 //! only permutes *which* output element is processed when, and dot
 //! products of distinct output elements are independent. Starting from any
 //! `C`, the default build is therefore bit-identical to
-//! [`multiply_kernel_into`] (and,
-//! from a zeroed `C`, to `multiply_ikj`) for every [`Scalar`] — which is
-//! what lets the arena engine swap this kernel in without disturbing a
-//! single bitwise promise in the determinism suite.
+//! [`multiply_kernel_into`] (and, from a zeroed `C`, to `multiply_ikj`)
+//! for every [`Scalar`] — which is what lets the determinism suite pin
+//! every engine bitwise against a copy-out recursion over `multiply_ikj`.
 //!
 //! The SIMD story is runtime dispatch, not intrinsics: the generic body is
 //! recompiled under `#[target_feature(enable = "avx512f")]` and
@@ -50,9 +49,10 @@
 //! [`Scalar::mul_add`] with a hardware fused multiply-add: roughly 2-3x
 //! more throughput on FMA hardware and *more* accurate (one rounding per
 //! update instead of two), but a different well-defined result — so the
-//! cross-engine witnesses against the unfused kernels are feature-gated
-//! off while the packed-SIMD-vs-packed-portable witnesses remain (fused
-//! ops are exactly rounded too, so dispatch still cannot change bits).
+//! witnesses against the unfused `multiply_ikj` are feature-gated off
+//! while the packed-SIMD-vs-packed-portable and engine-vs-engine
+//! witnesses remain (fused ops are exactly rounded too, so dispatch still
+//! cannot change bits).
 
 use crate::arena::ScratchArena;
 use crate::classical::multiply_kernel_into;
@@ -74,9 +74,10 @@ pub const MC: usize = 64;
 pub const NC: usize = 2048;
 
 /// Shapes with every dimension at or below this edge skip packing and run
-/// the legacy cache-blocked kernel directly — at these sizes the `O(mk +
-/// kn)` pack traffic costs more than it saves, and the two kernels are
-/// bit-identical so the switch is invisible to the determinism suite.
+/// the cache-blocked [`multiply_kernel_into`] directly — at these sizes
+/// the `O(mk + kn)` pack traffic costs more than it saves, and the two
+/// loops are bit-identical so the switch is invisible to the determinism
+/// suite.
 const PACK_MIN: usize = 8;
 
 /// Instruction-set level the packed kernel's runtime dispatch selected.
@@ -317,8 +318,8 @@ fn run_tile<T: Scalar, const MR: usize, const NR: usize>(
     arena.give(bp);
 }
 
-/// Shared entry logic: shape checks, the tiny-shape fall-through to the
-/// legacy kernel, and the `(MR, NR)` tile dispatch. Associated consts
+/// Shared entry logic: shape checks, the tiny-shape fall-through to
+/// [`multiply_kernel_into`], and the `(MR, NR)` tile dispatch. Associated consts
 /// cannot parameterize array lengths on stable, so the supported tiles
 /// are monomorphized explicitly: `(8, 8)` (f64), `(8, 16)` (f32), and the
 /// conservative `(4, 4)` every other scalar (integers, `Fp`) uses — any
@@ -347,12 +348,12 @@ fn dispatch<T: Scalar>(
 
 /// Packed accumulating product `C += A·B` — the base-case kernel of the
 /// recursive engines ([`crate::arena::multiply_into`], the parallel DFS
-/// leaves, the distributed rank-local
+/// leaves, [`multiply_non_stationary`](crate::recursive::multiply_non_stationary),
+/// the distributed rank-local
 /// [`multiply_flat`](crate::arena::multiply_flat)). Dispatches to the
 /// fastest instruction-set instantiation the CPU supports; bit-identical
-/// to [`multiply_kernel_into`]
-/// at every shape (see the module docs), so swapping it in changes no
-/// engine's output bits in the default build.
+/// to [`multiply_kernel_into`] at every shape in the default build (see
+/// the module docs).
 pub fn multiply_packed_into<T: Scalar>(
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
@@ -455,8 +456,8 @@ mod tests {
 
     #[test]
     fn packed_accumulates_into_nonzero_c() {
-        // C += A·B semantics, bit-identical to the legacy kernel even when
-        // C enters dirty (the KC blocking reloads C between k-blocks).
+        // C += A·B semantics, bit-identical to multiply_kernel_into even
+        // when C enters dirty (the KC blocking reloads C between k-blocks).
         let mut rng = StdRng::seed_from_u64(74);
         let (m, k, n) = (33, 300, 21);
         let a = Matrix::<f64>::random(m, k, &mut rng);
@@ -468,7 +469,10 @@ mod tests {
         multiply_packed_into(a.view(), b.view(), &mut c1.view_mut(), &mut arena);
         multiply_kernel_into(a.view(), b.view(), &mut c2.view_mut());
         #[cfg(not(feature = "fma"))]
-        assert!(c1.bits_eq(&c2), "accumulation diverged from legacy kernel");
+        assert!(
+            c1.bits_eq(&c2),
+            "accumulation diverged from multiply_kernel_into"
+        );
         #[cfg(feature = "fma")]
         assert!(c1.max_abs_diff(&c2, |x| x) < 1e-9 * k as f64);
     }
@@ -496,7 +500,7 @@ mod tests {
             for j in 0..40 {
                 let inside = (4..24).contains(&i) && (6..36).contains(&j);
                 let want = if inside { cref[(i - 4, j - 6)] } else { 0.0 };
-                // Inside the window: bit-identical to the legacy kernel in
+                // Inside the window: bit-identical to multiply_kernel_into in
                 // the default build, tolerance under `fma` (fused vs
                 // unfused). Outside: exactly zero in both builds — the
                 // kernel must never write past its window.

@@ -44,10 +44,9 @@
 //! determinism suite (`crates/matrix/tests/determinism.rs`) enforces this
 //! across schemes, thread counts, scalar types, and non-divisible shapes.
 
-pub use crate::arena::ScratchArena;
 use crate::arena::{
-    child_shape, dfs_working_set, encode_a_into, encode_b_into, footprint, multiply_into, padded,
-    splits,
+    child_shape, decode_product_into, dfs_working_set, encode_a_into, encode_b_into, footprint,
+    multiply_into, padded, splits, ScratchArena,
 };
 use crate::dense::{MatMut, MatRef, Matrix};
 use crate::scalar::Scalar;
@@ -104,20 +103,26 @@ impl ParallelConfig {
 
     /// Fallible [`ParallelConfig::from_env`]: rejects `FASTMM_THREADS` /
     /// `FASTMM_MEMORY_BUDGET` values that are non-numeric, zero, or absurd
-    /// (threads above [`MAX_ENV_THREADS`], budgets above
-    /// [`MAX_ENV_MEMORY_WORDS`]) with an error naming the variable and the
-    /// accepted range. Zero is rejected rather than treated as "auto":
-    /// the auto behaviors are requested by *unsetting* the variable, and a
-    /// literal `0` historically fell through to a silent default.
+    /// (threads above 4096, budgets above 2⁵⁰ words) with an error naming
+    /// the variable and the accepted range. Zero is rejected rather than
+    /// treated as "auto": the auto behaviors are requested by *unsetting*
+    /// the variable, so a literal `0` cannot fall through to a silent
+    /// default.
     pub fn try_from_env() -> Result<Self, String> {
-        let threads = match parse_env_positive("FASTMM_THREADS", MAX_ENV_THREADS)? {
+        Self::try_from_lookup(process_env)
+    }
+
+    /// [`ParallelConfig::try_from_env`] over an arbitrary variable lookup,
+    /// so tests can pass a map instead of mutating the process environment.
+    fn try_from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let threads = match parse_env_positive(&lookup, "FASTMM_THREADS", MAX_ENV_THREADS)? {
             Some(t) => t,
             None => std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
         };
         let memory_budget =
-            parse_env_positive("FASTMM_MEMORY_BUDGET", MAX_ENV_MEMORY_WORDS)?.unwrap_or(0);
+            parse_env_positive(&lookup, "FASTMM_MEMORY_BUDGET", MAX_ENV_MEMORY_WORDS)?.unwrap_or(0);
         Ok(ParallelConfig {
             threads,
             memory_budget,
@@ -128,20 +133,30 @@ impl ParallelConfig {
 
 /// Largest thread count `FASTMM_THREADS` accepts (no machine this engine
 /// targets has more hardware threads; larger values are a typo).
-pub const MAX_ENV_THREADS: usize = 4096;
+const MAX_ENV_THREADS: usize = 4096;
 
 /// Largest word budget `FASTMM_MEMORY_BUDGET` accepts: 2⁵⁰ words = 8 PiB
 /// of f64 — beyond any single-node memory, so larger values are a typo
 /// (e.g. a byte count pasted where words were expected, squared).
-pub const MAX_ENV_MEMORY_WORDS: usize = 1 << 50;
+const MAX_ENV_MEMORY_WORDS: usize = 1 << 50;
 
-/// Parse an optional positive-integer environment variable, shared by
-/// [`ParallelConfig::try_from_env`] and the distributed-memory
-/// `DistConfig` in `fastmm-parsim`. Returns `Ok(None)` when unset,
-/// `Ok(Some(v))` for `1 ..= max`, and a clear error otherwise — so a
-/// malformed value can never silently select a default.
-pub fn parse_env_positive(name: &str, max: usize) -> Result<Option<usize>, String> {
-    let Ok(raw) = std::env::var(name) else {
+/// The process environment as a variable lookup (unset and non-UTF-8
+/// values both read as `None`).
+pub(crate) fn process_env(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
+
+/// The crate's one environment parser, behind `FASTMM_THREADS`,
+/// `FASTMM_MEMORY_BUDGET` and `FASTMM_CUTOFF`: read the optional
+/// positive integer `name` through `lookup`. Returns `Ok(None)` when
+/// unset, `Ok(Some(v))` for `1 ..= max`, and an error naming the variable
+/// otherwise — so a malformed value can never silently select a default.
+pub(crate) fn parse_env_positive(
+    lookup: impl Fn(&str) -> Option<String>,
+    name: &str,
+    max: usize,
+) -> Result<Option<usize>, String> {
+    let Some(raw) = lookup(name) else {
         return Ok(None);
     };
     let v = raw
@@ -161,9 +176,17 @@ pub fn parse_env_positive(name: &str, max: usize) -> Result<Option<usize>, Strin
     Ok(Some(v))
 }
 
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        Self::from_env()
+/// A variable lookup over fixed `(name, value)` pairs — what tests pass
+/// to [`parse_env_positive`] instead of mutating the process environment.
+#[cfg(test)]
+pub(crate) fn fake_env<'a>(
+    pairs: &'a [(&'a str, &'a str)],
+) -> impl Fn(&str) -> Option<String> + 'a {
+    move |name| {
+        pairs
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| v.to_string())
     }
 }
 
@@ -551,11 +574,10 @@ fn complete<T: Scalar>(exec: &Exec<'_, T>, start: usize) {
 }
 
 /// Build a completed node's product from its children: decode in product
-/// order `l = 0..r` (`Split`) or crop the padded result (`Pad`) —
-/// bit-identical to the sequential engine's combine arithmetic.
+/// order `l = 0..r` with the sequential engine's own
+/// [`decode_product_into`] (`Split`), or crop the padded result (`Pad`).
 fn combine<T: Scalar>(exec: &Exec<'_, T>, p: usize) {
     let parent = &exec.nodes[p];
-    let (bm, _, bn) = exec.scheme.dims();
     let mut out = vec![T::zero(); parent.mm * parent.nn];
     match parent.kind {
         NodeKind::Split => {
@@ -563,14 +585,12 @@ fn combine<T: Scalar>(exec: &Exec<'_, T>, p: usize) {
             for (l, &cid) in parent.children.iter().enumerate() {
                 let child = &exec.nodes[cid];
                 let m = std::mem::take(&mut *child.out.lock().unwrap());
-                let mref = MatRef::from_slice(&m, child.mm, child.nn);
-                for q in 0..bm * bn {
-                    let wc = exec.scheme.w.get(q, l);
-                    if wc != 0 {
-                        cm.grid_block_rect_mut(bm, bn, q / bn, q % bn)
-                            .accumulate_scaled(mref, wc);
-                    }
-                }
+                decode_product_into(
+                    exec.scheme,
+                    MatRef::from_slice(&m, child.mm, child.nn),
+                    l,
+                    &mut cm,
+                );
             }
         }
         NodeKind::Pad => {
@@ -757,14 +777,12 @@ mod tests {
 
     #[test]
     fn config_from_env_overrides_threads_and_rejects_garbage() {
-        // This is the only test in this binary touching FASTMM_* env vars
-        // or calling from_env()/default(), so mutating the process
-        // environment cannot race another test. Keep it that way: a second
-        // env-reading test here would need a shared lock. All rejection
-        // cases live here for the same reason.
-        std::env::set_var("FASTMM_THREADS", "3");
-        std::env::set_var("FASTMM_MEMORY_BUDGET", "12345");
-        let cfg = ParallelConfig::from_env();
+        // The variables come from a map, never the process environment.
+        let cfg = ParallelConfig::try_from_lookup(fake_env(&[
+            ("FASTMM_THREADS", "3"),
+            ("FASTMM_MEMORY_BUDGET", "12345"),
+        ]))
+        .unwrap();
         assert_eq!(cfg.threads, 3);
         assert_eq!(cfg.memory_budget, 12345);
 
@@ -776,29 +794,26 @@ mod tests {
             ("-2", "not a positive integer"),
             ("999999", "absurdly large"),
         ] {
-            std::env::set_var("FASTMM_THREADS", bad);
-            let err = ParallelConfig::try_from_env().unwrap_err();
+            let err =
+                ParallelConfig::try_from_lookup(fake_env(&[("FASTMM_THREADS", bad)])).unwrap_err();
             assert!(err.contains(needle), "threads={bad:?}: {err}");
         }
-        std::env::remove_var("FASTMM_THREADS");
+        let too_big = (1u64 << 51).to_string();
         for (bad, needle) in [
             ("0", "FASTMM_MEMORY_BUDGET=0"),
             ("8GiB", "not a positive integer"),
-            ("9999999999999999999", "not a positive integer"), // > usize::MAX? no: > 2^50 check below
+            ("9999999999999999999", "not a positive integer"),
+            (too_big.as_str(), "absurdly large"),
         ] {
-            std::env::set_var("FASTMM_MEMORY_BUDGET", bad);
-            let err = ParallelConfig::try_from_env().unwrap_err();
+            let err = ParallelConfig::try_from_lookup(fake_env(&[("FASTMM_MEMORY_BUDGET", bad)]))
+                .unwrap_err();
             assert!(
                 err.contains(needle) || err.contains("absurdly large"),
                 "budget={bad:?}: {err}"
             );
         }
-        std::env::set_var("FASTMM_MEMORY_BUDGET", (1u64 << 51).to_string());
-        let err = ParallelConfig::try_from_env().unwrap_err();
-        assert!(err.contains("absurdly large"), "{err}");
-        std::env::remove_var("FASTMM_MEMORY_BUDGET");
 
-        let cfg = ParallelConfig::from_env();
+        let cfg = ParallelConfig::try_from_lookup(fake_env(&[])).unwrap();
         assert!(cfg.threads >= 1);
         assert_eq!(cfg.memory_budget, 0);
     }
@@ -806,13 +821,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "FASTMM_DOC_EXAMPLE")]
     fn parse_env_positive_error_names_the_variable() {
-        // parse_env_positive is the shared primitive (also used by the
-        // distributed DistConfig); its error must carry the variable name.
-        // Uses a variable no other test reads, so no race with the test
-        // above.
-        std::env::set_var("FASTMM_DOC_EXAMPLE", "zero");
-        let r = parse_env_positive("FASTMM_DOC_EXAMPLE", 16);
-        std::env::remove_var("FASTMM_DOC_EXAMPLE");
+        // parse_env_positive is the crate's one env parser (also behind
+        // FASTMM_CUTOFF); its error must carry the variable name.
+        let r = parse_env_positive(
+            fake_env(&[("FASTMM_DOC_EXAMPLE", "zero")]),
+            "FASTMM_DOC_EXAMPLE",
+            16,
+        );
         panic!("{}", r.unwrap_err());
     }
 }

@@ -13,12 +13,12 @@
 //! [`multiply_scheme`] executes on the zero-allocation arena recursion of
 //! [`crate::arena`]: strided views over the original operands, fused
 //! encode/decode row kernels, per-level row-wise zero-extension on
-//! non-divisible shapes — the same engine the parallel DFS leaves run, so
+//! non-divisible shapes, and the packed micro-kernel of [`crate::pack`]
+//! as the base case — the same engine the parallel DFS leaves run, so
 //! the traffic model `dfs_arena_io_recurrence_mkn` (crate `fastmm-memsim`)
-//! models the *default* engine. The historical copy-out recursion is kept
-//! as [`multiply_scheme_legacy`]: bit-identical output (enforced by the
-//! determinism suite), strictly more memory traffic — the golden witness
-//! and the perf baseline the arena engine is measured against.
+//! models it. It is the only sequential engine; the determinism suite
+//! pins it bitwise against a test-only copy-out recursion over
+//! `multiply_ikj`.
 //!
 //! Dimensions that stop dividing mid-recursion are zero-padded *per level*
 //! up to the next block-grid multiple, recursed on, and cropped — so a
@@ -29,8 +29,8 @@
 use crate::arena::{
     decode_product_into, encode_a_into, encode_b_into, multiply_into, ScratchArena,
 };
-use crate::classical::{multiply_kernel, multiply_kernel_into};
 use crate::dense::{MatMut, MatRef, Matrix};
+use crate::pack::multiply_packed_into;
 use crate::scalar::Scalar;
 use crate::scheme::BilinearScheme;
 
@@ -79,141 +79,6 @@ pub fn multiply_scheme<T: Scalar>(
     c
 }
 
-/// [`multiply_scheme`] at the tuned cutoff: `FASTMM_CUTOFF` if set, else
-/// the compiled default (see [`crate::tune`]). Prefer this entry point
-/// when you have no measured cutoff of your own.
-pub fn multiply_scheme_tuned<T: Scalar>(
-    scheme: &BilinearScheme,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-) -> Matrix<T> {
-    multiply_scheme(scheme, a, b, crate::tune::default_cutoff())
-}
-
-/// The historical copy-out engine, kept as the **golden reference**: it
-/// materializes every block with `to_matrix()`, heap-allocates `ta`/`tb`/
-/// `m`/`c` at every node, and pads via an element-at-a-time `from_fn` —
-/// exactly the pre-arena `multiply_scheme`. Its output is bit-identical to
-/// the arena engine at every cutoff (the determinism suite compares them
-/// across all registry schemes, scalar types, and shapes); its memory
-/// traffic is what the arena engine is benchmarked against (`repro_perf`).
-pub fn multiply_scheme_legacy<T: Scalar>(
-    scheme: &BilinearScheme,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    cutoff: usize,
-) -> Matrix<T> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    legacy_rec(scheme, a, b, cutoff.max(1))
-}
-
-fn legacy_rec<T: Scalar>(
-    scheme: &BilinearScheme,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    cutoff: usize,
-) -> Matrix<T> {
-    let (mm, kk, nn) = (a.rows(), a.cols(), b.cols());
-    let (bm, bk, bn) = scheme.dims();
-    if mm.max(kk).max(nn) <= cutoff {
-        // Cache-blocked micro-kernel; bit-identical to multiply_ikj (see
-        // its bit-compatibility contract), so all bitwise witnesses hold.
-        return multiply_kernel(a, b);
-    }
-    // Padded dimensions: the next block-grid multiples.
-    let (pm, pk, pn) = (
-        mm.div_ceil(bm) * bm,
-        kk.div_ceil(bk) * bk,
-        nn.div_ceil(bn) * bn,
-    );
-    // One recursion level must shrink the element count, else stop (guards
-    // degenerate dims like K = 1 under a k-splitting scheme).
-    if (pm / bm) * (pk / bk) * (pn / bn) >= mm * kk * nn {
-        return multiply_kernel(a, b);
-    }
-    if (pm, pk, pn) != (mm, kk, nn) {
-        let pad = |m: &Matrix<T>, rows: usize, cols: usize| {
-            Matrix::from_fn(rows, cols, |i, j| {
-                if i < m.rows() && j < m.cols() {
-                    m[(i, j)]
-                } else {
-                    T::zero()
-                }
-            })
-        };
-        let c = legacy_rec(scheme, &pad(a, pm, pk), &pad(b, pk, pn), cutoff);
-        return Matrix::from_fn(mm, nn, |i, j| c[(i, j)]);
-    }
-    let ta_cols = bm * bk;
-    let tb_cols = bk * bn;
-    let tc_cols = bm * bn;
-    // Extract blocks once.
-    let a_blocks: Vec<Matrix<T>> = (0..ta_cols)
-        .map(|q| a.view().grid_block_rect(bm, bk, q / bk, q % bk).to_matrix())
-        .collect();
-    let b_blocks: Vec<Matrix<T>> = (0..tb_cols)
-        .map(|q| b.view().grid_block_rect(bk, bn, q / bn, q % bn).to_matrix())
-        .collect();
-    let mut c = Matrix::zeros(mm, nn);
-    for l in 0..scheme.r {
-        let mut ta = Matrix::zeros(mm / bm, kk / bk);
-        let mut tb = Matrix::zeros(kk / bk, nn / bn);
-        for (q, blk) in a_blocks.iter().enumerate() {
-            ta.view_mut()
-                .accumulate_scaled(blk.view(), scheme.u.get(l, q));
-        }
-        for (q, blk) in b_blocks.iter().enumerate() {
-            tb.view_mut()
-                .accumulate_scaled(blk.view(), scheme.v.get(l, q));
-        }
-        let m = legacy_rec(scheme, &ta, &tb, cutoff);
-        for q in 0..tc_cols {
-            let wc = scheme.w.get(q, l);
-            if wc != 0 {
-                c.view_mut()
-                    .grid_block_rect_mut(bm, bn, q / bn, q % bn)
-                    .accumulate_scaled(m.view(), wc);
-            }
-        }
-    }
-    c
-}
-
-/// Smallest power of `base` that is `>= n`.
-pub fn next_power_of(n: usize, base: usize) -> usize {
-    assert!(base >= 2);
-    let mut p = 1usize;
-    while p < n {
-        p *= base;
-    }
-    p
-}
-
-/// Multiply arbitrary-size operands with `scheme`.
-///
-/// Historically this padded square operands up to the next power of `n₀`
-/// before recursing; the engine now pads lazily per level (which moves
-/// strictly fewer zeros), so this is the same entry point as
-/// [`multiply_scheme`], kept for source compatibility.
-pub fn multiply_scheme_padded<T: Scalar>(
-    scheme: &BilinearScheme,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    cutoff: usize,
-) -> Matrix<T> {
-    multiply_scheme(scheme, a, b, cutoff)
-}
-
-/// Convenience: Strassen's algorithm.
-pub fn multiply_strassen<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, cutoff: usize) -> Matrix<T> {
-    multiply_scheme_padded(&crate::scheme::strassen(), a, b, cutoff)
-}
-
-/// Convenience: Winograd's variant.
-pub fn multiply_winograd<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, cutoff: usize) -> Matrix<T> {
-    multiply_scheme_padded(&crate::scheme::winograd(), a, b, cutoff)
-}
-
 /// Multiply with a *uniform, non-stationary* algorithm (paper Section 5.2):
 /// a different scheme may be used at each recursion level — e.g. Strassen at
 /// the top levels and the classical scheme below, the practical hybrid of
@@ -223,10 +88,10 @@ pub fn multiply_winograd<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, cutoff: usize)
 /// fall-back-on-non-divisible contract (tested below) because a per-level
 /// scheme list pins the recursion shape explicitly.
 ///
-/// Runs on the same arena recursion as [`multiply_scheme`] (strided views,
-/// fused encode/decode kernels, zero hot-path allocation once warm); the
-/// base kernel is bit-identical to `multiply_ikj`, so outputs match the
-/// historical block-copy implementation bit for bit.
+/// Runs on the same arena pieces as [`multiply_scheme`] (strided views,
+/// fused encode/decode kernels, the packed base case, zero hot-path
+/// allocation once warm), so a uniform level list that recurses as deep
+/// as [`multiply_scheme`] does reproduces it bit for bit.
 pub fn multiply_non_stationary<T: Scalar>(
     levels: &[&BilinearScheme],
     a: &Matrix<T>,
@@ -248,13 +113,13 @@ fn non_stationary_into<T: Scalar>(
 ) {
     let (mm, kk, nn) = (a.rows(), a.cols(), b.cols());
     let (Some(scheme), rest) = (levels.first(), levels.get(1..).unwrap_or(&[])) else {
-        multiply_kernel_into(a, b, c);
+        multiply_packed_into(a, b, c, arena);
         return;
     };
     let (bm, bk, bn) = scheme.dims();
     let divisible = mm.is_multiple_of(bm) && kk.is_multiple_of(bk) && nn.is_multiple_of(bn);
     if !divisible || (mm / bm) * (kk / bk) * (nn / bn) >= mm * kk * nn {
-        multiply_kernel_into(a, b, c);
+        multiply_packed_into(a, b, c, arena);
         return;
     }
     let (sm, sk, sn) = (mm / bm, kk / bk, nn / bn);
@@ -351,7 +216,6 @@ pub fn scheme_op_count_mkn(
 mod tests {
     use super::*;
     use crate::classical::{multiply_ikj, multiply_naive};
-    use crate::scalar::Fp;
     use crate::scheme::{
         all_schemes, classical_rect, classical_scheme, strassen, strassen_2x2x4, winograd,
         winograd_2x4x2,
@@ -366,7 +230,7 @@ mod tests {
             let a = Matrix::random_int(n, n, 100, &mut rng);
             let b = Matrix::random_int(n, n, 100, &mut rng);
             assert_eq!(
-                multiply_strassen(&a, &b, 1),
+                multiply_scheme(&strassen(), &a, &b, 1),
                 multiply_naive(&a, &b),
                 "n={n}"
             );
@@ -380,7 +244,7 @@ mod tests {
             let a = Matrix::random_int(n, n, 100, &mut rng);
             let b = Matrix::random_int(n, n, 100, &mut rng);
             assert_eq!(
-                multiply_winograd(&a, &b, 1),
+                multiply_scheme(&winograd(), &a, &b, 1),
                 multiply_naive(&a, &b),
                 "n={n}"
             );
@@ -428,7 +292,7 @@ mod tests {
             let a = Matrix::random_int(n, n, 30, &mut rng);
             let b = Matrix::random_int(n, n, 30, &mut rng);
             assert_eq!(
-                multiply_strassen(&a, &b, 1),
+                multiply_scheme(&strassen(), &a, &b, 1),
                 multiply_naive(&a, &b),
                 "n={n}"
             );
@@ -459,7 +323,7 @@ mod tests {
         // reassociates the arithmetic, so its bit pattern differs from the
         // classical kernel's on generic inputs. A non-divisible size must be
         // bit-identical to the manually padded-and-cropped *fast* run (that
-        // is literally what multiply_rec executes) and must NOT be
+        // is literally what multiply_into executes) and must NOT be
         // bit-identical to multiply_ikj — which is exactly what it would be
         // if the engine regressed to the old silent classical fallback.
         let s = strassen();
@@ -522,7 +386,7 @@ mod tests {
         let b = Matrix::random_int(16, 16, 10, &mut rng);
         for cutoff in [1usize, 2, 4, 8, 16, 100] {
             assert_eq!(
-                multiply_strassen(&a, &b, cutoff),
+                multiply_scheme(&strassen(), &a, &b, cutoff),
                 multiply_naive(&a, &b),
                 "cutoff={cutoff}"
             );
@@ -665,61 +529,6 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "fma"))]
-    #[test]
-    fn arena_engine_is_bit_identical_to_legacy() {
-        // The unification contract in miniature (the full matrix lives in
-        // tests/determinism.rs): same bits as the copy-out engine over f64,
-        // divisible and non-divisible, across cutoffs. Under the `fma`
-        // feature the packed base case fuses multiply-adds while the legacy
-        // kernel does not, so the engines legitimately diverge bitwise.
-        let mut rng = StdRng::seed_from_u64(31);
-        for scheme in [strassen(), winograd(), strassen_2x2x4()] {
-            for (mm, kk, nn) in [(16usize, 16usize, 16usize), (13, 9, 21)] {
-                let a = Matrix::<f64>::random(mm, kk, &mut rng);
-                let b = Matrix::<f64>::random(kk, nn, &mut rng);
-                for cutoff in [1usize, 4, 64] {
-                    let arena = multiply_scheme(&scheme, &a, &b, cutoff);
-                    let legacy = multiply_scheme_legacy(&scheme, &a, &b, cutoff);
-                    assert!(
-                        arena
-                            .as_slice()
-                            .iter()
-                            .zip(legacy.as_slice())
-                            .all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "{} {mm}x{kk}x{nn} cutoff={cutoff}: engines diverged",
-                        scheme.name
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tuned_entry_point_matches_explicit_default_cutoff() {
-        // multiply_scheme_tuned reads FASTMM_CUTOFF; hold the shared lock
-        // so the env-mutating test in tune.rs cannot race this getenv.
-        let _guard = crate::tune::CUTOFF_ENV_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let mut rng = StdRng::seed_from_u64(37);
-        let a = Matrix::random_int(20, 20, 30, &mut rng);
-        let b = Matrix::random_int(20, 20, 30, &mut rng);
-        assert_eq!(
-            multiply_scheme_tuned(&strassen(), &a, &b),
-            multiply_naive(&a, &b)
-        );
-    }
-
-    #[test]
-    fn next_power_of_works() {
-        assert_eq!(next_power_of(1, 2), 1);
-        assert_eq!(next_power_of(5, 2), 8);
-        assert_eq!(next_power_of(8, 2), 8);
-        assert_eq!(next_power_of(10, 3), 27);
-        assert_eq!(next_power_of(27, 3), 27);
-    }
-
     #[test]
     fn fp_float_agreement() {
         // f64 Strassen result approximates the classical product.
@@ -727,8 +536,7 @@ mod tests {
         let a = Matrix::<f64>::random(32, 32, &mut rng);
         let b = Matrix::<f64>::random(32, 32, &mut rng);
         let exact = multiply_naive(&a, &b);
-        let fast = multiply_strassen(&a, &b, 4);
+        let fast = multiply_scheme(&strassen(), &a, &b, 4);
         assert!(exact.max_abs_diff(&fast, |x| x) < 1e-10);
-        let _ = Fp::new(0); // keep Fp import exercised
     }
 }

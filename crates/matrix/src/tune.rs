@@ -10,11 +10,11 @@
 //! cutoff is much larger than the old cache-blocked kernel's; this module
 //! provides the selection policy:
 //!
-//! * [`cutoff_from_env`] / [`try_cutoff_from_env`] — the `FASTMM_CUTOFF`
-//!   environment override, validated through the same
-//!   [`parse_env_positive`] path as `FASTMM_THREADS` /
-//!   `FASTMM_MEMORY_BUDGET`: non-numeric, zero, or absurd values are
-//!   rejected with an error naming the variable, never silently defaulted;
+//! * [`try_cutoff_from_env`] — the `FASTMM_CUTOFF`
+//!   environment override, validated by the crate's one env parser (the
+//!   one behind `FASTMM_THREADS` / `FASTMM_MEMORY_BUDGET`): non-numeric,
+//!   zero, or absurd values are rejected with an error naming the
+//!   variable, never silently defaulted;
 //! * [`default_cutoff`] — env override or the compiled default
 //!   [`DEFAULT_CUTOFF`];
 //! * [`resolve_cutoff`] — an explicit caller value, else the default;
@@ -29,7 +29,7 @@
 
 use crate::arena::{multiply_into, ScratchArena};
 use crate::dense::Matrix;
-use crate::parallel::parse_env_positive;
+use crate::parallel::{parse_env_positive, process_env};
 use crate::scheme::BilinearScheme;
 
 /// Compiled default base-case side, sized against the packed micro-kernel
@@ -48,38 +48,42 @@ pub const MAX_ENV_CUTOFF: usize = 1 << 16;
 
 /// The `FASTMM_CUTOFF` environment override: `Ok(None)` when unset,
 /// `Ok(Some(v))` for `1 ..= `[`MAX_ENV_CUTOFF`], and an error naming the
-/// variable otherwise — same contract and shared parser
-/// ([`parse_env_positive`]) as the `FASTMM_THREADS` /
-/// `FASTMM_MEMORY_BUDGET` validation. A malformed value can never
-/// silently select the compiled default (it historically did, which made
-/// typos like `FASTMM_CUTOFF=64k` invisible in perf numbers).
+/// variable otherwise — same contract and shared parser as the
+/// `FASTMM_THREADS` / `FASTMM_MEMORY_BUDGET` validation. A malformed
+/// value can never silently select the compiled default, which would hide
+/// typos like `FASTMM_CUTOFF=64k` from every perf number.
 pub fn try_cutoff_from_env() -> Result<Option<usize>, String> {
-    parse_env_positive("FASTMM_CUTOFF", MAX_ENV_CUTOFF)
+    cutoff_from_lookup(process_env)
 }
 
-/// Panicking form of [`try_cutoff_from_env`], mirroring
-/// [`ParallelConfig::from_env`](crate::parallel::ParallelConfig::from_env):
-/// a malformed `FASTMM_CUTOFF` aborts with the validation error rather
-/// than running an entire benchmark at a default the user did not ask for.
-pub fn cutoff_from_env() -> Option<usize> {
-    try_cutoff_from_env().unwrap_or_else(|e| panic!("{e}"))
+/// [`try_cutoff_from_env`] over an arbitrary variable lookup.
+fn cutoff_from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Option<usize>, String> {
+    parse_env_positive(lookup, "FASTMM_CUTOFF", MAX_ENV_CUTOFF)
 }
 
 /// The cutoff the engines use when the caller does not pin one:
-/// `FASTMM_CUTOFF` if set (panicking if malformed), else
-/// [`DEFAULT_CUTOFF`].
+/// `resolve_cutoff(0)`.
 pub fn default_cutoff() -> usize {
-    cutoff_from_env().unwrap_or(DEFAULT_CUTOFF)
+    resolve_cutoff(0)
 }
 
 /// Resolve a caller-supplied cutoff: any positive value is used as-is;
-/// `0` means "auto" and defers to [`default_cutoff`].
+/// `0` means "auto": `FASTMM_CUTOFF` if set, else [`DEFAULT_CUTOFF`]. A
+/// malformed `FASTMM_CUTOFF` panics with the [`try_cutoff_from_env`]
+/// error rather than running an entire benchmark at a default the user
+/// did not ask for.
 pub fn resolve_cutoff(requested: usize) -> usize {
+    resolve_with(requested, process_env)
+}
+
+/// [`resolve_cutoff`] over an arbitrary variable lookup.
+fn resolve_with(requested: usize, lookup: impl Fn(&str) -> Option<String>) -> usize {
     if requested > 0 {
-        requested
-    } else {
-        default_cutoff()
+        return requested;
     }
+    cutoff_from_lookup(lookup)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .unwrap_or(DEFAULT_CUTOFF)
 }
 
 /// Candidate cutoffs [`calibrate_cutoff`] times, ascending. 256 entered
@@ -128,9 +132,9 @@ pub fn calibrate_cutoff(scheme: &BilinearScheme, probe_n: usize) -> usize {
         );
     };
     // Seed with the compiled constant, not default_cutoff(): calibration
-    // must not read FASTMM_CUTOFF (no env access ⇒ no race with tests or
-    // callers mutating the variable), and the loop below always runs at
-    // least once (probe_n >= 8), overwriting the seed.
+    // measures, so it must not depend on FASTMM_CUTOFF, and the loop
+    // below always runs at least once (probe_n >= 8), overwriting the
+    // seed.
     let mut best = (f64::INFINITY, DEFAULT_CUTOFF.min(probe_n));
     for &cutoff in CALIBRATE_CANDIDATES.iter().filter(|&&c| c <= probe_n) {
         run(cutoff); // untimed warm-up
@@ -149,36 +153,22 @@ pub fn calibrate_cutoff(scheme: &BilinearScheme, probe_n: usize) -> usize {
     best.1
 }
 
-/// Serializes every test that touches **or reads** `FASTMM_CUTOFF`
-/// (`std::env::set_var` concurrent with `getenv` is a data race on
-/// glibc). Lock it in any test that mutates the variable or calls an
-/// env-reading path (`default_cutoff`, `multiply_scheme_tuned`).
-#[cfg(test)]
-pub(crate) static CUTOFF_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::fake_env;
     use crate::scheme::strassen;
 
     #[test]
     fn env_override_and_resolution() {
-        // The parallel module's env test touches FASTMM_THREADS/-MEMORY_
-        // BUDGET, a disjoint set; every FASTMM_CUTOFF toucher/reader in
-        // this binary holds CUTOFF_ENV_LOCK, so the set_var calls below
-        // cannot race a concurrent getenv.
-        let _guard = CUTOFF_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::remove_var("FASTMM_CUTOFF");
-        assert_eq!(cutoff_from_env(), None);
-        assert_eq!(default_cutoff(), DEFAULT_CUTOFF);
-        assert_eq!(resolve_cutoff(17), 17);
-        assert_eq!(resolve_cutoff(0), DEFAULT_CUTOFF);
-        std::env::set_var("FASTMM_CUTOFF", "48");
-        assert_eq!(cutoff_from_env(), Some(48));
-        assert_eq!(default_cutoff(), 48);
-        assert_eq!(resolve_cutoff(0), 48);
-        assert_eq!(resolve_cutoff(17), 17);
-        std::env::remove_var("FASTMM_CUTOFF");
+        let unset = fake_env(&[]);
+        assert_eq!(cutoff_from_lookup(&unset), Ok(None));
+        assert_eq!(resolve_with(0, &unset), DEFAULT_CUTOFF);
+        assert_eq!(resolve_with(17, &unset), 17);
+        let set = fake_env(&[("FASTMM_CUTOFF", "48")]);
+        assert_eq!(cutoff_from_lookup(&set), Ok(Some(48)));
+        assert_eq!(resolve_with(0, &set), 48);
+        assert_eq!(resolve_with(17, &set), 17);
     }
 
     #[test]
@@ -187,10 +177,8 @@ mod tests {
         // and absurdly large values must produce an error naming the
         // variable — the historical behavior silently fell back to the
         // default, hiding typos from every perf measurement.
-        let _guard = CUTOFF_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for bad in ["junk", "0", "-3", "1.5", "", " ", "99999999"] {
-            std::env::set_var("FASTMM_CUTOFF", bad);
-            let err = try_cutoff_from_env()
+            let err = cutoff_from_lookup(fake_env(&[("FASTMM_CUTOFF", bad)]))
                 .expect_err(&format!("FASTMM_CUTOFF={bad:?} must be rejected"));
             assert!(
                 err.contains("FASTMM_CUTOFF"),
@@ -198,12 +186,12 @@ mod tests {
             );
         }
         // boundary: the max is accepted, one past it is not
-        std::env::set_var("FASTMM_CUTOFF", MAX_ENV_CUTOFF.to_string());
-        assert_eq!(try_cutoff_from_env(), Ok(Some(MAX_ENV_CUTOFF)));
-        std::env::set_var("FASTMM_CUTOFF", (MAX_ENV_CUTOFF + 1).to_string());
-        assert!(try_cutoff_from_env().is_err());
-        std::env::remove_var("FASTMM_CUTOFF");
-        assert_eq!(try_cutoff_from_env(), Ok(None));
+        let (max, past) = (MAX_ENV_CUTOFF.to_string(), (MAX_ENV_CUTOFF + 1).to_string());
+        assert_eq!(
+            cutoff_from_lookup(fake_env(&[("FASTMM_CUTOFF", &max)])),
+            Ok(Some(MAX_ENV_CUTOFF))
+        );
+        assert!(cutoff_from_lookup(fake_env(&[("FASTMM_CUTOFF", &past)])).is_err());
     }
 
     #[test]

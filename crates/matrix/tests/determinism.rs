@@ -6,12 +6,14 @@
 //! * the parallel engine vs the sequential engine, across thread counts
 //!   1/2/4/8, divisible and non-divisible shapes, and memory budgets that
 //!   force every BFS/DFS split the planner can choose;
-//! * the arena-backed sequential engine (`multiply_scheme`) vs the legacy
-//!   copy-out engine (`multiply_scheme_legacy`, the golden witness kept
-//!   from before the arena unification), across cutoffs `{1, 8, 64}` —
-//!   so any reassociation introduced into the fused encode/decode kernels
-//!   or the row-wise pad path fails bitwise.
-//!
+//! * the arena-backed sequential engine (`multiply_scheme`) vs
+//!   [`copy_out_oracle`], a test-only copy-out recursion over
+//!   `multiply_ikj`, across cutoffs `{1, 8, 64}` — so any reassociation
+//!   introduced into the fused encode/decode kernels or the row-wise pad
+//!   path fails bitwise;
+//! * the non-stationary engine (`multiply_non_stationary`) vs
+//!   `multiply_scheme` at the cutoff where both recurse the same number
+//!   of levels;
 //! * the packed micro-kernel (`pack::multiply_packed_into`, the base case
 //!   every engine shares) vs its forced-portable scalar fallback and vs
 //!   `multiply_ikj`, across `all_schemes()` × {`f64` bit-pattern, `f32`,
@@ -24,17 +26,18 @@
 //! caring which engine or how many workers ran.
 //!
 //! Witnesses that compare the packed (fusable) path against the unfused
-//! legacy kernels are gated on `not(feature = "fma")`: the opt-in fused
-//! multiply-add is a different well-defined result. The
-//! dispatch-vs-portable witnesses stay on under the feature — SIMD
-//! selection must never change bits, fused or not.
+//! `multiply_ikj` (directly or through the oracle) are gated on
+//! `not(feature = "fma")`: the opt-in fused multiply-add is a different
+//! well-defined result. The dispatch-vs-portable and engine-vs-engine
+//! witnesses stay on under the feature — every engine shares the packed
+//! base case, and SIMD selection must never change bits, fused or not.
 
 use fastmm_matrix::arena::ScratchArena;
 use fastmm_matrix::classical::multiply_ikj;
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::pack::{multiply_packed_into, multiply_packed_into_scalar};
 use fastmm_matrix::parallel::{multiply_scheme_parallel, ParallelConfig};
-use fastmm_matrix::recursive::{multiply_scheme, multiply_scheme_legacy};
+use fastmm_matrix::recursive::{multiply_non_stationary, multiply_scheme};
 use fastmm_matrix::scalar::Scalar;
 use fastmm_matrix::scheme::{all_schemes, strassen, BilinearScheme};
 use rand::rngs::StdRng;
@@ -110,17 +113,80 @@ fn every_scheme_is_deterministic_over_fp() {
     }
 }
 
-/// Cutoffs pinning the arena-vs-legacy witnesses: full recursion, a
+/// The test oracle for the sequential engine: a plain copy-out recursion
+/// in which every block is copied out with `to_matrix()`, every node
+/// heap-allocates its encoded operands and product, a non-divisible level
+/// pads element by element, and the base case is `multiply_ikj`. It
+/// derives pad and split from the block grid itself rather than calling
+/// `arena::splits`, so it checks the engine's recursion shape too.
+fn copy_out_oracle<T: Scalar>(
+    scheme: &BilinearScheme,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    cutoff: usize,
+) -> Matrix<T> {
+    let (mm, kk, nn) = (a.rows(), a.cols(), b.cols());
+    let (bm, bk, bn) = scheme.dims();
+    let (pm, pk, pn) = (
+        mm.div_ceil(bm) * bm,
+        kk.div_ceil(bk) * bk,
+        nn.div_ceil(bn) * bn,
+    );
+    // Stop at the cutoff, or when one level would not shrink the problem.
+    if mm.max(kk).max(nn) <= cutoff || (pm / bm) * (pk / bk) * (pn / bn) >= mm * kk * nn {
+        return multiply_ikj(a, b);
+    }
+    if (pm, pk, pn) != (mm, kk, nn) {
+        let pad = |m: &Matrix<T>, rows: usize, cols: usize| {
+            Matrix::from_fn(rows, cols, |i, j| {
+                if i < m.rows() && j < m.cols() {
+                    m[(i, j)]
+                } else {
+                    T::zero()
+                }
+            })
+        };
+        let c = copy_out_oracle(scheme, &pad(a, pm, pk), &pad(b, pk, pn), cutoff);
+        return Matrix::from_fn(mm, nn, |i, j| c[(i, j)]);
+    }
+    let a_blocks: Vec<Matrix<T>> = (0..bm * bk)
+        .map(|q| a.view().grid_block_rect(bm, bk, q / bk, q % bk).to_matrix())
+        .collect();
+    let b_blocks: Vec<Matrix<T>> = (0..bk * bn)
+        .map(|q| b.view().grid_block_rect(bk, bn, q / bn, q % bn).to_matrix())
+        .collect();
+    let mut c = Matrix::zeros(mm, nn);
+    for l in 0..scheme.r {
+        let mut ta = Matrix::zeros(mm / bm, kk / bk);
+        for (q, blk) in a_blocks.iter().enumerate() {
+            ta.view_mut()
+                .accumulate_scaled(blk.view(), scheme.u.get(l, q));
+        }
+        let mut tb = Matrix::zeros(kk / bk, nn / bn);
+        for (q, blk) in b_blocks.iter().enumerate() {
+            tb.view_mut()
+                .accumulate_scaled(blk.view(), scheme.v.get(l, q));
+        }
+        let m = copy_out_oracle(scheme, &ta, &tb, cutoff);
+        for q in 0..bm * bn {
+            c.view_mut()
+                .grid_block_rect_mut(bm, bn, q / bn, q % bn)
+                .accumulate_scaled(m.view(), scheme.w.get(q, l));
+        }
+    }
+    c
+}
+
+/// Cutoffs pinning the engine-vs-oracle witnesses: full recursion, a
 /// mid-recursion switch, and the default-sized base case.
 const LEGACY_CUTOFFS: [usize; 3] = [1, 8, 64];
 
 #[cfg(not(feature = "fma"))]
 #[test]
 fn arena_sequential_matches_legacy_golden_f64_bits() {
-    // The tentpole's hard constraint: the arena engine (strided views,
-    // fused kernels, row-wise pad) reproduces the legacy copy-out engine
-    // bit for bit on every registry scheme, including shapes that pad at
-    // every level.
+    // The arena engine (strided views, fused kernels, row-wise pad)
+    // reproduces the copy-out oracle bit for bit on every registry
+    // scheme, including shapes that pad at every level.
     for (i, scheme) in all_schemes().iter().enumerate() {
         for (j, &(mm, kk, nn)) in shapes_for(scheme).iter().enumerate() {
             let mut rng = StdRng::seed_from_u64((3000 + i * 100 + j) as u64);
@@ -128,15 +194,10 @@ fn arena_sequential_matches_legacy_golden_f64_bits() {
             let b = Matrix::<f64>::random(kk, nn, &mut rng);
             for cutoff in LEGACY_CUTOFFS {
                 let arena = multiply_scheme(scheme, &a, &b, cutoff);
-                let legacy = multiply_scheme_legacy(scheme, &a, &b, cutoff);
-                let same = arena
-                    .as_slice()
-                    .iter()
-                    .zip(legacy.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                let oracle = copy_out_oracle(scheme, &a, &b, cutoff);
                 assert!(
-                    same,
-                    "{} {mm}x{kk}x{nn} cutoff={cutoff}: arena f64 bits differ from legacy",
+                    arena.bits_eq(&oracle),
+                    "{} {mm}x{kk}x{nn} cutoff={cutoff}: arena f64 bits differ from the oracle",
                     scheme.name
                 );
             }
@@ -154,8 +215,8 @@ fn arena_sequential_matches_legacy_golden_fp() {
             for cutoff in LEGACY_CUTOFFS {
                 assert_eq!(
                     multiply_scheme(scheme, &a, &b, cutoff),
-                    multiply_scheme_legacy(scheme, &a, &b, cutoff),
-                    "{} {mm}x{kk}x{nn} cutoff={cutoff}: F_p mismatch vs legacy",
+                    copy_out_oracle(scheme, &a, &b, cutoff),
+                    "{} {mm}x{kk}x{nn} cutoff={cutoff}: F_p mismatch vs the oracle",
                     scheme.name
                 );
             }
@@ -251,8 +312,8 @@ fn packed_kernel_witnesses_fp() {
 #[test]
 fn packed_engine_matches_legacy_over_f32_bits() {
     // Engine-level f32 leg of the packed-kernel witness matrix: the full
-    // recursion with the packed base case vs the legacy copy-out engine
-    // (ikj-derived base case), across the same cutoffs as the f64 branch.
+    // recursion with the packed base case vs the copy-out oracle
+    // (multiply_ikj base case), across the same cutoffs as the f64 branch.
     for (i, scheme) in all_schemes().iter().enumerate() {
         for (j, &(mm, kk, nn)) in shapes_for(scheme).iter().enumerate() {
             let mut rng = StdRng::seed_from_u64((15000 + i * 100 + j) as u64);
@@ -260,13 +321,38 @@ fn packed_engine_matches_legacy_over_f32_bits() {
             let b = Matrix::<f32>::random_f32(kk, nn, &mut rng);
             for cutoff in LEGACY_CUTOFFS {
                 let packed = multiply_scheme(scheme, &a, &b, cutoff);
-                let legacy = multiply_scheme_legacy(scheme, &a, &b, cutoff);
+                let oracle = copy_out_oracle(scheme, &a, &b, cutoff);
                 assert!(
-                    packed.bits_eq(&legacy),
-                    "{} {mm}x{kk}x{nn} cutoff={cutoff}: f32 bits differ from legacy",
+                    packed.bits_eq(&oracle),
+                    "{} {mm}x{kk}x{nn} cutoff={cutoff}: f32 bits differ from the oracle",
                     scheme.name
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn non_stationary_matches_multiply_scheme_over_f64_bits() {
+    // With n = n₀^L·16, multiply_scheme at cutoff 16 and L copies of the
+    // scheme both recurse exactly L levels onto the packed kernel, so the
+    // two engines agree bit for bit in the default and the fma build.
+    for (i, scheme) in all_schemes().iter().filter(|s| s.is_square()).enumerate() {
+        for levels in 1..=2u32 {
+            let n = scheme.n0().pow(levels) * 16;
+            if n > 256 {
+                continue;
+            }
+            let mut rng = StdRng::seed_from_u64((17000 + i * 10) as u64 + u64::from(levels));
+            let a = Matrix::<f64>::random(n, n, &mut rng);
+            let b = Matrix::<f64>::random(n, n, &mut rng);
+            let per_level = vec![scheme; levels as usize];
+            assert!(
+                multiply_non_stationary(&per_level, &a, &b)
+                    .bits_eq(&multiply_scheme(scheme, &a, &b, 16)),
+                "{} n={n} levels={levels}: non-stationary f64 bits differ",
+                scheme.name
+            );
         }
     }
 }

@@ -6,9 +6,7 @@ use fastmm_matrix::classical::{
     multiply_blocked, multiply_ikj, multiply_naive, multiply_oblivious,
 };
 use fastmm_matrix::dense::Matrix;
-use fastmm_matrix::recursive::{
-    multiply_scheme, multiply_scheme_padded, multiply_strassen, multiply_winograd,
-};
+use fastmm_matrix::recursive::multiply_scheme;
 use fastmm_matrix::scalar::{Fp, Scalar};
 use fastmm_matrix::scheme::{classical_scheme, strassen, winograd};
 use proptest::prelude::*;
@@ -31,8 +29,8 @@ proptest! {
         prop_assert_eq!(&multiply_ikj(&a, &b), &reference);
         prop_assert_eq!(&multiply_blocked(&a, &b, 3), &reference);
         prop_assert_eq!(&multiply_oblivious(&a, &b, 2), &reference);
-        prop_assert_eq!(&multiply_strassen(&a, &b, 1), &reference);
-        prop_assert_eq!(&multiply_winograd(&a, &b, 1), &reference);
+        prop_assert_eq!(&multiply_scheme(&strassen(), &a, &b, 1), &reference);
+        prop_assert_eq!(&multiply_scheme(&winograd(), &a, &b, 1), &reference);
     }
 
     #[test]
@@ -80,14 +78,14 @@ proptest! {
         let a = Matrix::random_int(n, n, 50, &mut rng);
         let b = Matrix::random_int(n, n, 50, &mut rng);
         prop_assert_eq!(
-            multiply_scheme_padded(&strassen(), &a, &b, 2),
+            multiply_scheme(&strassen(), &a, &b, 2),
             multiply_naive(&a, &b)
         );
     }
 
     #[test]
     fn cutoff_never_changes_results(a in arb_matrix(16), b in arb_matrix(16), cutoff in 1usize..20) {
-        prop_assert_eq!(multiply_strassen(&a, &b, cutoff), multiply_naive(&a, &b));
+        prop_assert_eq!(multiply_scheme(&strassen(), &a, &b, cutoff), multiply_naive(&a, &b));
     }
 
     #[test]
@@ -116,6 +114,6 @@ proptest! {
         let id = Matrix::identity(7);
         prop_assert_eq!(&multiply_naive(&a, &id), &a);
         prop_assert_eq!(&multiply_naive(&id, &a), &a);
-        prop_assert_eq!(&multiply_strassen(&a, &id, 2), &a);
+        prop_assert_eq!(&multiply_scheme(&strassen(), &a, &id, 2), &a);
     }
 }

@@ -496,8 +496,8 @@ mod tests {
         // The words-moved guarantee of the fix: padding costs a *fraction*
         // of that level's own encode/decode traffic — it no longer doubles
         // level-0 traffic the way full-matrix staging (pad copy plus
-        // per-block copy-out of both padded operands) did in the legacy
-        // engine.
+        // per-block copy-out of both padded operands) does in a copy-out
+        // recursion.
         let level0 = at_padded - 7.0 * dfs_arena_io_recurrence_mkn(&s, 33, 33, 33, m);
         assert!(
             overhead < level0,

@@ -56,7 +56,6 @@ use fastmm_matrix::arena::{
     ScratchArena,
 };
 use fastmm_matrix::dense::{MatMut, MatRef, Matrix};
-use fastmm_matrix::parallel::{parse_env_positive, MAX_ENV_MEMORY_WORDS, MAX_ENV_THREADS};
 use fastmm_matrix::recursive::scheme_op_count_mkn;
 use fastmm_matrix::scheme::BilinearScheme;
 use std::collections::VecDeque;
@@ -170,40 +169,6 @@ impl DistConfig {
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = if plan.is_empty() { None } else { Some(plan) };
         self
-    }
-
-    /// Build from the environment: `FASTMM_THREADS` sets the rank count
-    /// (default: [`std::thread::available_parallelism`] — each simulated
-    /// rank is an OS thread), `FASTMM_MEMORY_BUDGET` the per-rank word
-    /// budget (default: unlimited). Same validation as
-    /// [`DistConfig::try_from_env`]; panics with its error on malformed
-    /// values.
-    pub fn from_env() -> Self {
-        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`DistConfig::from_env`]: rejects non-numeric, zero, or
-    /// absurd `FASTMM_THREADS` / `FASTMM_MEMORY_BUDGET` values with a
-    /// clear error (shared validation:
-    /// [`fastmm_matrix::parallel::parse_env_positive`]) instead of
-    /// silently misbehaving.
-    pub fn try_from_env() -> Result<Self, String> {
-        let p = match parse_env_positive("FASTMM_THREADS", MAX_ENV_THREADS)? {
-            Some(t) => t,
-            None => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        };
-        let memory_budget =
-            parse_env_positive("FASTMM_MEMORY_BUDGET", MAX_ENV_MEMORY_WORDS)?.unwrap_or(0);
-        Ok(DistConfig {
-            p,
-            cutoff: 0,
-            memory_budget,
-            runtime: Runtime::Event,
-            recovery: Recovery::None,
-            fault_plan: None,
-        })
     }
 
     /// The α-β machine this config runs on (with any fault plan attached).
@@ -882,34 +847,5 @@ mod tests {
         let err =
             caps_plan_for_budget(&DistConfig::new(7).with_memory_budget(10), &s, n).unwrap_err();
         assert!(err.contains("budget"), "{err}");
-    }
-
-    #[test]
-    fn dist_config_env_rejects_garbage() {
-        // The only test in this binary mutating FASTMM_* variables (see
-        // the matching note in fastmm-matrix's parallel.rs tests). Keep
-        // it that way — and keep every other test in this binary on an
-        // explicit nonzero cutoff: `DistConfig::new(p)` with the auto
-        // cutoff (0) reaches getenv("FASTMM_CUTOFF") inside
-        // resolved_cutoff, and a concurrent getenv racing these set_var
-        // calls is UB (glibc environ realloc). A second env-touching or
-        // env-reading test here would need a shared lock, as
-        // fastmm-matrix's tune.rs does with CUTOFF_ENV_LOCK.
-        std::env::set_var("FASTMM_THREADS", "0");
-        let err = DistConfig::try_from_env().unwrap_err();
-        assert!(err.contains("FASTMM_THREADS=0"), "{err}");
-        std::env::set_var("FASTMM_THREADS", "weasel");
-        let err = DistConfig::try_from_env().unwrap_err();
-        assert!(err.contains("not a positive integer"), "{err}");
-        std::env::set_var("FASTMM_THREADS", "7");
-        std::env::set_var("FASTMM_MEMORY_BUDGET", "123456");
-        let cfg = DistConfig::try_from_env().unwrap();
-        assert_eq!((cfg.p, cfg.memory_budget), (7, 123456));
-        std::env::set_var("FASTMM_MEMORY_BUDGET", "999999999999999999");
-        let err = DistConfig::try_from_env().unwrap_err();
-        assert!(err.contains("absurdly large"), "{err}");
-        std::env::remove_var("FASTMM_THREADS");
-        std::env::remove_var("FASTMM_MEMORY_BUDGET");
-        assert!(DistConfig::try_from_env().is_ok());
     }
 }

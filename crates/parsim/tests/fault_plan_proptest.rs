@@ -4,7 +4,14 @@
 //! produces a bitwise-identical outcome — the same failure report
 //! (rank, payload, injected provenance) when the run dies, the same
 //! gather bits and recovery counters when it survives — across repeated
-//! runs *and* across the event-driven and lockstep runtimes.
+//! runs of the event-driven runtime, and across the event-driven and
+//! lockstep runtimes whenever at most one rank can be killed.
+//!
+//! With rank-killing rules on two ranks, the lockstep runtime's outcome
+//! depends on OS thread order: the second target may reach its own crash
+//! or first die sending to the already-dead rank. The event runtime
+//! decides that race by virtual time, so only the event legs run on such
+//! plans.
 
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::scheme::strassen;
@@ -105,6 +112,18 @@ proptest! {
             corrupt.0.then_some((corrupt.1, corrupt.2, corrupt.3, corrupt.4)),
             degrade.0.then_some((degrade.1, degrade.2)),
         );
+        // Ranks a rule can kill: both crash kinds, and the receiver of a
+        // corrupted frame under Detect (it aborts on the bad checksum).
+        let mut killed: Vec<usize> = [
+            crash_send.0.then_some(crash_send.1 % P),
+            crash_time.0.then_some(crash_time.1 % P),
+            (corrupt.0 && recovery == Recovery::Detect).then_some(1 + corrupt.1 % (P - 1)),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        killed.sort_unstable();
+        killed.dedup();
         let run = |rt| {
             let cfg = DistConfig::new(P)
                 .with_cutoff(2)
@@ -116,7 +135,9 @@ proptest! {
         let ev1 = run(Runtime::Event);
         let ev2 = run(Runtime::Event);
         prop_assert_eq!(&ev1, &ev2, "event runtime not repeatable for plan {:?}", &plan);
-        let ls = run(Runtime::Lockstep);
-        prop_assert_eq!(&ev1, &ls, "runtimes disagree for plan {:?}", &plan);
+        if killed.len() <= 1 {
+            let ls = run(Runtime::Lockstep);
+            prop_assert_eq!(&ev1, &ls, "runtimes disagree for plan {:?}", &plan);
+        }
     }
 }

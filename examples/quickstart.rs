@@ -16,7 +16,7 @@ fn main() {
     let b = Matrix::<f64>::random(n, n, &mut rng);
 
     // 1. Fast multiplication, checked against the classical kernel.
-    let c_fast = multiply_strassen(&a, &b, 32);
+    let c_fast = multiply_scheme(&strassen(), &a, &b, 32);
     let c_ref = multiply_naive(&a, &b);
     let err = c_fast.max_abs_diff(&c_ref, |x| x);
     println!("Strassen vs classical: n = {n}, max |diff| = {err:.2e}");

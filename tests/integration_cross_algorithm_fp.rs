@@ -11,10 +11,7 @@ use fastmm_matrix::classical::{
     multiply_blocked, multiply_ikj, multiply_naive, multiply_oblivious,
 };
 use fastmm_matrix::dense::Matrix;
-use fastmm_matrix::recursive::{
-    multiply_non_stationary, multiply_scheme, multiply_scheme_padded, multiply_strassen,
-    multiply_winograd,
-};
+use fastmm_matrix::recursive::{multiply_non_stationary, multiply_scheme};
 use fastmm_matrix::scalar::Fp;
 use fastmm_matrix::scheme::{
     classical_rect, classical_scheme, strassen, strassen_2x2x4, winograd, winograd_2x4x2,
@@ -64,12 +61,12 @@ fn strassen_and_winograd_agree_bit_exactly_over_fp() {
         let reference = multiply_naive(&a, &b);
         for cutoff in [1, 2, 4] {
             assert_eq!(
-                multiply_strassen(&a, &b, cutoff),
+                multiply_scheme(&strassen(), &a, &b, cutoff),
                 reference,
                 "strassen cutoff={cutoff} n={n}"
             );
             assert_eq!(
-                multiply_winograd(&a, &b, cutoff),
+                multiply_scheme(&winograd(), &a, &b, cutoff),
                 reference,
                 "winograd cutoff={cutoff} n={n}"
             );
@@ -135,12 +132,12 @@ fn padded_engine_agrees_on_awkward_sizes_over_fp() {
         let (a, b) = random_pair(n, seed);
         let reference = multiply_naive(&a, &b);
         assert_eq!(
-            multiply_scheme_padded(&strassen(), &a, &b, 2),
+            multiply_scheme(&strassen(), &a, &b, 2),
             reference,
             "padded strassen n={n}"
         );
         assert_eq!(
-            multiply_scheme_padded(&winograd(), &a, &b, 2),
+            multiply_scheme(&winograd(), &a, &b, 2),
             reference,
             "padded winograd n={n}"
         );
@@ -221,7 +218,7 @@ fn non_divisible_rectangular_sizes_through_the_padded_path_over_fp() {
         for scheme in &schemes {
             for cutoff in [1usize, 3] {
                 assert_eq!(
-                    multiply_scheme_padded(scheme, &a, &b, cutoff),
+                    multiply_scheme(scheme, &a, &b, cutoff),
                     reference,
                     "{} {mm}x{kk}x{nn} cutoff={cutoff}",
                     scheme.name

@@ -169,12 +169,12 @@ fn padded_multiplication_handles_awkward_sizes() {
         let a = Matrix::random_int(n, n, 10, &mut rng);
         let b = Matrix::random_int(n, n, 10, &mut rng);
         assert_eq!(
-            multiply_strassen(&a, &b, 2),
+            multiply_scheme(&strassen(), &a, &b, 2),
             multiply_naive(&a, &b),
             "n={n}"
         );
         assert_eq!(
-            multiply_winograd(&a, &b, 2),
+            multiply_scheme(&winograd(), &a, &b, 2),
             multiply_naive(&a, &b),
             "n={n}"
         );
