@@ -8,24 +8,38 @@
 //! The recursion ([`multiply_into`]) walks strided [`MatRef`]/[`MatMut`]
 //! views of the *original* operands instead of materializing block copies:
 //!
-//! * encoding `T_l = Σ_q U[l][q]·A_q` reads the source blocks straight
-//!   through grid views and accumulates into one preallocated arena buffer
-//!   via the fused AXPY row kernel [`crate::dense::axpy_row`]
-//!   ([`encode_a_into`]/[`encode_b_into`], shared with the parallel BFS
-//!   encoder);
+//! * above the leaves, encoding `T_l = Σ_q U[l][q]·A_q` reads the source
+//!   blocks straight through grid views into one arena buffer, row by
+//!   row: the first nonzero term is written with
+//!   [`crate::dense::axpy_set_row`], the rest accumulated with
+//!   [`crate::dense::axpy_row`] ([`encode_a_into`]/[`encode_b_into`],
+//!   shared with the parallel BFS encoder), so `T_l` is never zero-filled;
+//! * a node whose children are leaves takes no `T_l`/`S_l` buffers at all:
+//!   each product is one *fused leaf*, the packed kernel run on two folds
+//!   (`Σ_q U[l][q]·A_q` and `Σ_q V[l][q]·B_q` over the parent's grid
+//!   blocks) that its pack loops compute row by row as they pack them, and
+//!   that writes `M_l` with β = 0 (see [`crate::pack`]) — the one-level
+//!   "AB" variant of Huang–Smith–Henry–van de Geijn, *Strassen's Algorithm
+//!   Reloaded* (SC'16);
 //! * each product `M_l` decodes by writing through strided `C` blocks
-//!   ([`decode_product_into`]) with no intermediate result matrix;
+//!   ([`decode_product_into`]) with no intermediate result matrix: a block
+//!   is written on the first product of its `W` row and accumulated on the
+//!   later ones, so neither `M_l` nor `C` is zero-filled;
 //! * non-divisible levels zero-extend row-wise into the arena
 //!   ([`MatMut::zero_extend_from`]) instead of building an
 //!   element-at-a-time padded copy.
 //!
 //! Every temporary comes from — and returns to — a [`ScratchArena`], so
 //! after the first recursion warms the pool the hot path performs **zero
-//! heap allocation**. This makes the engine's measured word traffic track
-//! the in-place model
+//! heap allocation** (`crates/matrix/tests/zero_alloc.rs` counts). This
+//! makes the engine's measured word traffic track the in-place model
 //! `dfs_arena_io_recurrence_mkn` (crate `fastmm-memsim`) and hence the
 //! Equation (1) recurrence `IO(n) ≤ r·IO(n/n₀) + O(n²)` whose solution the
-//! paper's Theorem 1.1 lower-bounds.
+//! paper's Theorem 1.1 lower-bounds. The model charges each encode one
+//! read per source block and one write, and each decode term a read of
+//! `M_l` and a read-modify-write of `C`; it stays an upper bound on what
+//! the engine moves, since a first touch skips the read of `C` and a fused
+//! leaf neither writes nor re-reads `T_l`/`S_l`.
 //!
 //! ## Bit-determinism
 //!
@@ -39,12 +53,22 @@
 //! determinism suite (`crates/matrix/tests/determinism.rs`) keeps such a
 //! recursion as its test oracle and enforces this.
 //!
+//! No write-instead-of-accumulate step changes a bit. A first touch
+//! computes `0 ⊕ x` (`0 + x`, `0 - x`, `0 + c·x`), which is what the
+//! zero-filled buffer it replaces held after its first accumulation —
+//! including `+0.0` where a copy or negation of a signed zero would give
+//! `-0.0`. A fold computes each row of `T_l` by that same rule, in the
+//! same order, so it carries `T_l`'s bits; the β = 0 leaf starts its first
+//! `k`-block from `+0.0`, which is what loading a zeroed `M_l` gave; and a
+//! leaf at or below the packed kernel's small-shape edge materializes its
+//! folds and runs the same unpacked loop the unfused recursion does.
+//!
 //! The packed base case adds `Θ(mk + kn)` pack-buffer traffic per leaf —
 //! within the `O(n²)`-per-node constant of the Equation (1) recurrence the
 //! word-traffic model charges, so the modeled asymptotics are unchanged.
 
-use crate::dense::{MatMut, MatRef};
-use crate::pack::multiply_packed_into;
+use crate::dense::{axpy_row, axpy_set_row, MatMut, MatRef};
+use crate::pack::{multiply_fold_into, multiply_packed_into, Fold, Operand};
 use crate::scalar::Scalar;
 use crate::scheme::BilinearScheme;
 
@@ -221,8 +245,10 @@ pub fn child_shape(dims: (usize, usize, usize), s: (usize, usize, usize)) -> (us
     (p.0 / dims.0, p.1 / dims.1, p.2 / dims.2)
 }
 
-/// Scratch words one DFS task needs below `shape`: per level, the three
-/// temporaries `(T_l, S_l, M_l)`, plus pad buffers on non-divisible levels.
+/// Scratch words one DFS task needs below `shape`: per split level, the
+/// product buffer `M_l`, the encoded operands `T_l`/`S_l` when the
+/// children split too (a leaf product packs its operands straight from
+/// the parent's blocks), plus pad buffers on non-divisible levels.
 pub(crate) fn dfs_working_set(
     dims: (usize, usize, usize),
     shape: (usize, usize, usize),
@@ -236,17 +262,26 @@ pub(crate) fn dfs_working_set(
             total = total.saturating_add(footprint(p));
         }
         let child = child_shape(dims, cur);
-        total = total.saturating_add(footprint(child));
+        let temps = if splits(dims, child, cutoff) {
+            footprint(child)
+        } else {
+            child.0 * child.2
+        };
+        total = total.saturating_add(temps);
         cur = child;
     }
     total
 }
 
-/// Fused encode of product `l`'s left operand: `ta += Σ_q U[l][q] · A_q`,
-/// reading the `A` blocks through strided grid views and accumulating with
-/// [`crate::dense::axpy_row`]. `ta` must enter zeroed; blocks accumulate in
-/// ascending `q` (the bit-determinism contract). Shared by the sequential
-/// recursion, the non-stationary engine, and the parallel BFS encoder.
+/// Fused encode of product `l`'s left operand: `ta = Σ_q U[l][q] · A_q`,
+/// reading the `A` blocks through strided grid views. Row by row, the
+/// first nonzero term is written ([`crate::dense::axpy_set_row`]) and the
+/// rest accumulated ([`crate::dense::axpy_row`]) in ascending `q`, so
+/// `ta` may hold anything on entry and its bits equal those of zeroing it
+/// and accumulating every term (the bit-determinism contract). An empty
+/// `U` row writes zeros. Shared by the sequential recursion above the
+/// leaves, the non-stationary engine, the parallel BFS encoder and the
+/// distributed engine.
 #[inline]
 pub fn encode_a_into<T: Scalar>(
     scheme: &BilinearScheme,
@@ -255,12 +290,10 @@ pub fn encode_a_into<T: Scalar>(
     ta: &mut MatMut<'_, T>,
 ) {
     let (bm, bk, _) = scheme.dims();
-    for (q, c) in scheme.u.row_entries(l) {
-        ta.accumulate_scaled(a.grid_block_rect(bm, bk, q / bk, q % bk), c);
-    }
+    Fold::new(a, (bm, bk), &scheme.u, l).write_into(ta);
 }
 
-/// Fused encode of product `l`'s right operand: `tb += Σ_q V[l][q] · B_q`
+/// Fused encode of product `l`'s right operand: `tb = Σ_q V[l][q] · B_q`
 /// (see [`encode_a_into`]).
 #[inline]
 pub fn encode_b_into<T: Scalar>(
@@ -270,14 +303,21 @@ pub fn encode_b_into<T: Scalar>(
     tb: &mut MatMut<'_, T>,
 ) {
     let (_, bk, bn) = scheme.dims();
-    for (q, c) in scheme.v.row_entries(l) {
-        tb.accumulate_scaled(b.grid_block_rect(bk, bn, q / bn, q % bn), c);
-    }
+    Fold::new(b, (bk, bn), &scheme.v, l).write_into(tb);
 }
 
-/// Fused decode of product `l`: `C_q += W[q][l] · M_l` for every nonzero
-/// of `W`'s column `l`, writing through strided `C` grid blocks in
-/// ascending `q` — no intermediate result matrix is ever materialized.
+/// Fused decode of product `l`: `C_q ⊕= W[q][l] · M_l` for every nonzero
+/// of `W`'s column `l`, writing through strided `C` grid blocks row by row
+/// (each row of `M_l` is read once) — no intermediate result matrix is
+/// ever materialized.
+///
+/// A block is *written* (`C_q = 0 ⊕ W[q][l]·M_l`,
+/// [`crate::dense::axpy_set_row`]) on the first product of its `W` row
+/// and accumulated on every later one; decoding `l = 0` also zeroes any
+/// block whose `W` row is empty (no correct scheme has one). Decoding
+/// every `l` in ascending order therefore writes all of `c`, whatever it
+/// held, with the bits of accumulating into a zeroed `c`. Decoding out of
+/// order is wrong: a later first touch would overwrite earlier products.
 #[inline]
 pub fn decode_product_into<T: Scalar>(
     scheme: &BilinearScheme,
@@ -286,9 +326,25 @@ pub fn decode_product_into<T: Scalar>(
     c: &mut MatMut<'_, T>,
 ) {
     let (bm, _, bn) = scheme.dims();
-    for (q, wc) in scheme.w.col_entries(l) {
-        c.grid_block_rect_mut(bm, bn, q / bn, q % bn)
-            .accumulate_scaled(m, wc);
+    let (br, bc) = (m.rows(), m.cols());
+    assert_eq!((c.rows(), c.cols()), (bm * br, bn * bc), "C is M_l's grid");
+    if l == 0 {
+        for q in 0..bm * bn {
+            if scheme.w.row_entries(q).next().is_none() {
+                c.grid_block_rect_mut(bm, bn, q / bn, q % bn).fill_zero();
+            }
+        }
+    }
+    for i in 0..br {
+        let src = m.row(i);
+        for (q, wc) in scheme.w.col_entries(l) {
+            let dst = &mut c.row_mut((q / bn) * br + i)[(q % bn) * bc..][..bc];
+            if scheme.w.row_entries(q).next().map(|(j, _)| j) == Some(l) {
+                axpy_set_row(dst, src, wc);
+            } else {
+                axpy_row(dst, src, wc);
+            }
+        }
     }
 }
 
@@ -340,17 +396,18 @@ pub fn multiply_into<T: Scalar>(
         multiply_packed_into(a, b, c, arena);
         return;
     }
-    let (mm, kk, nn) = shape;
     let (pm, pk, pn) = padded(dims, shape);
     if (pm, pk, pn) != shape {
         // Non-divisible level: zero-extend both operands row-wise into the
-        // arena (every element of the pad buffers is overwritten, so they
-        // are taken unzeroed), recurse at the padded shape, crop back.
+        // arena, recurse at the padded shape, crop back. Every element of
+        // the three buffers is written before it is read (the padded shape
+        // splits, and a split writes all of its output), so all are taken
+        // unzeroed.
         let mut pa = arena.take_any(pm * pk);
         MatMut::from_slice(&mut pa, pm, pk).zero_extend_from(a);
         let mut pb = arena.take_any(pk * pn);
         MatMut::from_slice(&mut pb, pk, pn).zero_extend_from(b);
-        let mut pc = arena.take(pm * pn);
+        let mut pc = arena.take_any(pm * pn);
         multiply_into(
             scheme,
             MatRef::from_slice(&pa, pm, pk),
@@ -359,35 +416,69 @@ pub fn multiply_into<T: Scalar>(
             cutoff,
             arena,
         );
-        c.copy_from(MatRef::from_slice(&pc, pm, pn).block(0, 0, mm, nn));
+        c.copy_from(MatRef::from_slice(&pc, pm, pn).block(0, 0, shape.0, shape.2));
         arena.give(pa);
         arena.give(pb);
         arena.give(pc);
         return;
     }
-    let (bm, bk, bn) = dims;
-    let (sm, sk, sn) = (mm / bm, kk / bk, nn / bn);
-    let mut ta = arena.take_any(sm * sk);
-    let mut tb = arena.take_any(sk * sn);
+    let leaf_children = !splits(dims, child_shape(dims, shape), cutoff);
+    multiply_split(scheme, a, b, c, leaf_children, arena, |ta, tb, m, arena| {
+        multiply_into(scheme, ta, tb, m, cutoff, arena)
+    });
+}
+
+/// One split node, shared by [`multiply_into`] and the non-stationary
+/// engine: for each product `l = 0, 1, …, r-1`, form `M_l` into one arena
+/// buffer, then decode it into `c` ([`decode_product_into`]), which
+/// writes every element of `c`.
+///
+/// When the children are leaves (`leaf_children`), `M_l` is one fused
+/// leaf call on the folds of `U`'s and `V`'s row `l` over the grid blocks
+/// of `a` and `b` — no `T_l`/`S_l` buffers (the one-level "AB" variant of
+/// Huang–Smith–Henry–van de Geijn, *Strassen's Algorithm Reloaded*,
+/// SC'16). Otherwise `T_l`/`S_l` are encoded into arena buffers and
+/// `recurse` computes `M_l = T_l·S_l`, writing every element of its
+/// output.
+pub(crate) fn multiply_split<T: Scalar>(
+    scheme: &BilinearScheme,
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+    c: &mut MatMut<'_, T>,
+    leaf_children: bool,
+    arena: &mut ScratchArena<T>,
+    mut recurse: impl FnMut(MatRef<'_, T>, MatRef<'_, T>, &mut MatMut<'_, T>, &mut ScratchArena<T>),
+) {
+    let (bm, bk, bn) = scheme.dims();
+    let (sm, sk, sn) = (a.rows() / bm, a.cols() / bk, b.cols() / bn);
     let mut mbuf = arena.take_any(sm * sn);
-    for l in 0..scheme.r {
-        ta.fill(T::zero());
-        encode_a_into(scheme, a, l, &mut MatMut::from_slice(&mut ta, sm, sk));
-        tb.fill(T::zero());
-        encode_b_into(scheme, b, l, &mut MatMut::from_slice(&mut tb, sk, sn));
-        mbuf.fill(T::zero());
-        multiply_into(
-            scheme,
-            MatRef::from_slice(&ta, sm, sk),
-            MatRef::from_slice(&tb, sk, sn),
-            &mut MatMut::from_slice(&mut mbuf, sm, sn),
-            cutoff,
-            arena,
-        );
-        decode_product_into(scheme, MatRef::from_slice(&mbuf, sm, sn), l, c);
+    if leaf_children {
+        for l in 0..scheme.r {
+            multiply_fold_into(
+                Operand::Fold(Fold::new(a, (bm, bk), &scheme.u, l)),
+                Operand::Fold(Fold::new(b, (bk, bn), &scheme.v, l)),
+                &mut MatMut::from_slice(&mut mbuf, sm, sn),
+                arena,
+            );
+            decode_product_into(scheme, MatRef::from_slice(&mbuf, sm, sn), l, c);
+        }
+    } else {
+        let mut ta = arena.take_any(sm * sk);
+        let mut tb = arena.take_any(sk * sn);
+        for l in 0..scheme.r {
+            encode_a_into(scheme, a, l, &mut MatMut::from_slice(&mut ta, sm, sk));
+            encode_b_into(scheme, b, l, &mut MatMut::from_slice(&mut tb, sk, sn));
+            recurse(
+                MatRef::from_slice(&ta, sm, sk),
+                MatRef::from_slice(&tb, sk, sn),
+                &mut MatMut::from_slice(&mut mbuf, sm, sn),
+                arena,
+            );
+            decode_product_into(scheme, MatRef::from_slice(&mbuf, sm, sn), l, c);
+        }
+        arena.give(ta);
+        arena.give(tb);
     }
-    arena.give(ta);
-    arena.give(tb);
     arena.give(mbuf);
 }
 

@@ -19,9 +19,10 @@ use rand::Rng;
 /// [`Scalar::add_scaled`] — `add` for `c == 1`, `sub` for `c == -1`, and
 /// `add(mul(from_i64(c)))` otherwise — in ascending `j`, so it is
 /// bit-identical to the historical per-element loop. It is the shared
-/// encode/decode kernel of both recursive engines (see
-/// [`crate::arena`]): every `T_l += U[l][q]·A_q` block accumulation and
-/// every `C_q += W[q][l]·M_l` decode runs through here, row by row.
+/// encode/decode kernel of the recursive engines (see [`crate::arena`]):
+/// every `T_l += U[l][q]·A_q` term after the first and every
+/// `C_q += W[q][l]·M_l` decode after a block's first runs through here,
+/// row by row; first terms run through [`axpy_set_row`].
 #[inline]
 pub fn axpy_row<T: Scalar>(dst: &mut [T], src: &[T], c: i64) {
     debug_assert_eq!(dst.len(), src.len());
@@ -40,6 +41,40 @@ pub fn axpy_row<T: Scalar>(dst: &mut [T], src: &[T], c: i64) {
         _ => {
             for (d, &s) in dst.iter_mut().zip(src) {
                 *d = d.add_scaled(s, c);
+            }
+        }
+    }
+}
+
+/// First-touch AXPY row kernel: `dst[j] = 0 ⊕ c * src[j]`, the first term
+/// of an encode or decode, written without reading `dst` (which may hold
+/// anything on entry).
+///
+/// **Bit-compatibility:** per element this is exactly
+/// [`Scalar::add_scaled`] on a zero accumulator — `0 + s` for `c == 1`,
+/// `0 - s` for `c == -1`, `0 + s·c` otherwise — so it writes the bits a
+/// zero-filled `dst` followed by [`axpy_row`] would. Over floats that is
+/// not a plain copy or negation: `0 + (-0.0)` and `0 - 0.0` are both
+/// `+0.0`. `c == 0` writes zeros.
+#[inline]
+pub fn axpy_set_row<T: Scalar>(dst: &mut [T], src: &[T], c: i64) {
+    debug_assert_eq!(dst.len(), src.len());
+    let zero = T::zero();
+    match c {
+        0 => dst.fill(zero),
+        1 => {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = zero.add(s);
+            }
+        }
+        -1 => {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = zero.sub(s);
+            }
+        }
+        _ => {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = zero.add_scaled(s, c);
             }
         }
     }
@@ -659,6 +694,20 @@ mod tests {
                 slow.map(f64::to_bits),
                 "c={c}: fused kernel reassociated"
             );
+        }
+    }
+
+    #[test]
+    fn axpy_set_row_matches_zero_fill_then_axpy_row() {
+        // Signed zeros are where a plain copy or negation would differ:
+        // 0 + (-0.0) and 0 - 0.0 are +0.0.
+        let src = [1.5f64, -2.25, 0.0, -0.0, 7.0];
+        for c in [-2i64, -1, 0, 1, 2] {
+            let mut set = [f64::NAN; 5];
+            axpy_set_row(&mut set, &src, c);
+            let mut acc = [0.0f64; 5];
+            axpy_row(&mut acc, &src, c);
+            assert_eq!(set.map(f64::to_bits), acc.map(f64::to_bits), "c={c}");
         }
     }
 

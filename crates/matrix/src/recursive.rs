@@ -26,9 +26,7 @@
 //! back to the Θ(MKN) classical kernel at the top (the historical behavior,
 //! fixed here and locked in by `prop_schemes.rs`).
 
-use crate::arena::{
-    decode_product_into, encode_a_into, encode_b_into, multiply_into, ScratchArena,
-};
+use crate::arena::{child_shape, multiply_into, multiply_split, ScratchArena};
 use crate::dense::{MatMut, MatRef, Matrix};
 use crate::pack::multiply_packed_into;
 use crate::scalar::Scalar;
@@ -89,9 +87,10 @@ pub fn multiply_scheme<T: Scalar>(
 /// scheme list pins the recursion shape explicitly.
 ///
 /// Runs on the same arena pieces as [`multiply_scheme`] (strided views,
-/// fused encode/decode kernels, the packed base case, zero hot-path
-/// allocation once warm), so a uniform level list that recurses as deep
-/// as [`multiply_scheme`] does reproduces it bit for bit.
+/// fused encode/decode kernels, fused leaves where the next level is the
+/// packed base case, zero hot-path allocation once warm), so a uniform
+/// level list that recurses as deep as [`multiply_scheme`] does
+/// reproduces it bit for bit.
 pub fn multiply_non_stationary<T: Scalar>(
     levels: &[&BilinearScheme],
     a: &Matrix<T>,
@@ -111,39 +110,29 @@ fn non_stationary_into<T: Scalar>(
     c: &mut MatMut<'_, T>,
     arena: &mut ScratchArena<T>,
 ) {
-    let (mm, kk, nn) = (a.rows(), a.cols(), b.cols());
-    let (Some(scheme), rest) = (levels.first(), levels.get(1..).unwrap_or(&[])) else {
-        multiply_packed_into(a, b, c, arena);
-        return;
-    };
+    let shape = (a.rows(), a.cols(), b.cols());
+    match levels.split_first() {
+        Some((scheme, rest)) if non_stationary_splits(scheme, shape) => {
+            let child = child_shape(scheme.dims(), shape);
+            let leaf_children = !rest
+                .first()
+                .is_some_and(|next| non_stationary_splits(next, child));
+            multiply_split(scheme, a, b, c, leaf_children, arena, |ta, tb, m, arena| {
+                non_stationary_into(rest, ta, tb, m, arena)
+            });
+        }
+        _ => multiply_packed_into(a, b, c, arena),
+    }
+}
+
+/// Whether the non-stationary recursion splits `shape` with `scheme`:
+/// only a divisible shape that one level shrinks (no padding).
+fn non_stationary_splits(scheme: &BilinearScheme, (mm, kk, nn): (usize, usize, usize)) -> bool {
     let (bm, bk, bn) = scheme.dims();
-    let divisible = mm.is_multiple_of(bm) && kk.is_multiple_of(bk) && nn.is_multiple_of(bn);
-    if !divisible || (mm / bm) * (kk / bk) * (nn / bn) >= mm * kk * nn {
-        multiply_packed_into(a, b, c, arena);
-        return;
-    }
-    let (sm, sk, sn) = (mm / bm, kk / bk, nn / bn);
-    let mut ta = arena.take_any(sm * sk);
-    let mut tb = arena.take_any(sk * sn);
-    let mut mbuf = arena.take_any(sm * sn);
-    for l in 0..scheme.r {
-        ta.fill(T::zero());
-        encode_a_into(scheme, a, l, &mut MatMut::from_slice(&mut ta, sm, sk));
-        tb.fill(T::zero());
-        encode_b_into(scheme, b, l, &mut MatMut::from_slice(&mut tb, sk, sn));
-        mbuf.fill(T::zero());
-        non_stationary_into(
-            rest,
-            MatRef::from_slice(&ta, sm, sk),
-            MatRef::from_slice(&tb, sk, sn),
-            &mut MatMut::from_slice(&mut mbuf, sm, sn),
-            arena,
-        );
-        decode_product_into(scheme, MatRef::from_slice(&mbuf, sm, sn), l, c);
-    }
-    arena.give(ta);
-    arena.give(tb);
-    arena.give(mbuf);
+    mm.is_multiple_of(bm)
+        && kk.is_multiple_of(bk)
+        && nn.is_multiple_of(bn)
+        && (mm / bm) * (kk / bk) * (nn / bn) < mm * kk * nn
 }
 
 /// Exact arithmetic-operation counts of the recursive algorithm.

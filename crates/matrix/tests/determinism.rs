@@ -11,6 +11,10 @@
 //!   `multiply_ikj`, across cutoffs `{1, 8, 64}` — so any reassociation
 //!   introduced into the fused encode/decode kernels or the row-wise pad
 //!   path fails bitwise;
+//! * the same two witnesses on zero-heavy operands (`-0.0` entries, zero
+//!   blocks) over the registry, Winograd's dimension permutations and a
+//!   sign-flipped Strassen, so the first-touch `0 ⊕ x` writes of encode
+//!   and decode keep their signed zeros;
 //! * the non-stationary engine (`multiply_non_stationary`) vs
 //!   `multiply_scheme` at the cutoff where both recurse the same number
 //!   of levels;
@@ -39,7 +43,7 @@ use fastmm_matrix::pack::{multiply_packed_into, multiply_packed_into_scalar};
 use fastmm_matrix::parallel::{multiply_scheme_parallel, ParallelConfig};
 use fastmm_matrix::recursive::{multiply_non_stationary, multiply_scheme};
 use fastmm_matrix::scalar::Scalar;
-use fastmm_matrix::scheme::{all_schemes, strassen, BilinearScheme};
+use fastmm_matrix::scheme::{all_schemes, strassen, winograd, BilinearScheme};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -217,6 +221,98 @@ fn arena_sequential_matches_legacy_golden_fp() {
                     multiply_scheme(scheme, &a, &b, cutoff),
                     copy_out_oracle(scheme, &a, &b, cutoff),
                     "{} {mm}x{kk}x{nn} cutoff={cutoff}: F_p mismatch vs the oracle",
+                    scheme.name
+                );
+            }
+        }
+    }
+}
+
+/// An operand for the signed-zero witnesses: uniform entries, with every
+/// third one `-0.0`, every seventh `+0.0`, and the top half of the rows
+/// all zeros of both signs. Whole grid blocks are then zero at the top
+/// levels, so some encodes and products are exactly zero.
+fn zero_heavy(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix<f64> {
+    let mut m = Matrix::<f64>::random(rows, cols, rng);
+    for i in 0..rows {
+        for j in 0..cols {
+            let at = i * cols + j;
+            if i < rows.div_ceil(2) || at.is_multiple_of(3) {
+                m[(i, j)] = if at.is_multiple_of(2) { -0.0 } else { 0.0 };
+            } else if at.is_multiple_of(7) {
+                m[(i, j)] = 0.0;
+            }
+        }
+    }
+    m
+}
+
+/// Strassen with every product feeding `C₁₂` negated (its `U` row and
+/// `W` column flip sign), still a correct scheme. Its `C₁₂` row reads
+/// `−M₃ − M₅`, and on a zero-heavy `A` both products are exactly zero in
+/// the top rows: the first touch must write `0 − 0 = +0`, which the
+/// second keeps, where a negated copy would leave `-0.0`.
+fn strassen_negated() -> BilinearScheme {
+    let s = strassen();
+    let (mut u, mut w) = (s.u.clone(), s.w.clone());
+    for l in (0..s.r).filter(|&l| s.w.get(1, l) != 0) {
+        for q in 0..u.cols() {
+            u.set(l, q, -u.get(l, q));
+        }
+        for q in 0..w.rows() {
+            w.set(q, l, -w.get(q, l));
+        }
+    }
+    BilinearScheme::from_coeffs("strassen-negated", 2, u, s.v.clone(), w)
+}
+
+/// The registry, Winograd's six dimension permutations (some have a `W`
+/// row that starts with −1) and [`strassen_negated`].
+fn signed_zero_schemes() -> Vec<BilinearScheme> {
+    let mut schemes = all_schemes();
+    schemes.extend(winograd().permutations());
+    schemes.push(strassen_negated());
+    schemes
+}
+
+#[cfg(not(feature = "fma"))]
+#[test]
+fn signed_zeros_match_the_oracle_bitwise() {
+    // First-touch encode and decode write `0 ⊕ x`, never a plain copy:
+    // the engine must keep the oracle's signed zeros (zero-filled
+    // buffers, every term accumulated) on zero-heavy operands.
+    for (i, scheme) in signed_zero_schemes().iter().enumerate() {
+        for (j, &(mm, kk, nn)) in shapes_for(scheme).iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64((19000 + i * 100 + j) as u64);
+            let a = zero_heavy(mm, kk, &mut rng);
+            let b = zero_heavy(kk, nn, &mut rng);
+            for cutoff in LEGACY_CUTOFFS {
+                assert!(
+                    multiply_scheme(scheme, &a, &b, cutoff)
+                        .bits_eq(&copy_out_oracle(scheme, &a, &b, cutoff)),
+                    "{} {mm}x{kk}x{nn} cutoff={cutoff}: signed zeros differ from the oracle",
+                    scheme.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn signed_zeros_are_bit_deterministic_across_engines() {
+    // The parallel BFS (2 threads) encodes and decodes into zeroed
+    // buffers, the sequential engine writes first touches: same bits in
+    // both builds.
+    for (i, scheme) in signed_zero_schemes().iter().enumerate() {
+        for (j, &(mm, kk, nn)) in shapes_for(scheme).iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64((21000 + i * 100 + j) as u64);
+            let a = zero_heavy(mm, kk, &mut rng);
+            let b = zero_heavy(kk, nn, &mut rng);
+            for cutoff in LEGACY_CUTOFFS {
+                let par = multiply_scheme_parallel(scheme, &a, &b, cutoff, &ParallelConfig::new(2));
+                assert!(
+                    par.bits_eq(&multiply_scheme(scheme, &a, &b, cutoff)),
+                    "{} {mm}x{kk}x{nn} cutoff={cutoff}: signed zeros differ across engines",
                     scheme.name
                 );
             }
