@@ -15,7 +15,7 @@ fn main() {
         "{}",
         fastmm_bench::e11_repro_perf(
             &[128, 256],
-            Some(&fastmm_bench::bench_artifact_path("BENCH_seq.json"))
+            Some(&fastmm_bench::bench_smoke_path("BENCH_seq.json"))
         )
     );
     println!(

@@ -24,6 +24,14 @@ pub fn bench_artifact_path(name: &str) -> String {
     format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"))
 }
 
+/// Absolute path of an uncommitted benchmark artifact under the
+/// repository's `target/` directory, resolved like
+/// [`bench_artifact_path`]: where smoke-size runs write, so they never
+/// overwrite the committed copy.
+pub fn bench_smoke_path(name: &str) -> String {
+    format!("{}/../../target/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
 /// Exit code the `repro_*` binaries use when a simulated rank fails.
 pub const RANK_FAILURE_EXIT_CODE: i32 = 2;
 

@@ -19,6 +19,16 @@
 //! as IEEE-754 bits (`to_bits`/`from_bits`), so the service's bitwise
 //! determinism contract survives serialization exactly.
 //!
+//! ## One pass each way
+//!
+//! An encoder first sums the frame's exact byte length, then writes the
+//! header and every field in place into one buffer of that capacity: one
+//! heap allocation per frame, and each matrix's bits written in one bulk
+//! pass. `tests/encode_alloc.rs` pins the single allocation, and the unit
+//! tests pin every byte against a value-by-value reference encoder. A
+//! decoder copies each payload byte once, from the frame into the matrix
+//! it belongs to.
+//!
 //! ## Checked deserialization
 //!
 //! Decoding is total: every malformed frame — truncation at any byte,
@@ -198,23 +208,25 @@ fn push_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Append `vals` as little-endian IEEE bits in one bulk pass over a
+/// slot of the buffer's reserved capacity.
 fn push_f64s(out: &mut Vec<u8>, vals: &[f64]) {
-    for v in vals {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    let start = out.len();
+    out.resize(start + 8 * vals.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(vals) {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes());
     }
 }
 
-/// Frame a payload with the versioned header.
-fn frame(kind: FrameKind, payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+/// A buffer of exactly `HEADER_LEN + payload_len` bytes' capacity,
+/// holding the versioned header that declares `payload_len`.
+fn header(kind: FrameKind, payload_len: usize) -> Vec<u8> {
+    let declared = u32::try_from(payload_len).expect("payload over 4 GiB");
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
     out.extend_from_slice(&MAGIC);
     push_u16(&mut out, WIRE_VERSION);
     push_u16(&mut out, kind.code());
-    push_u32(
-        &mut out,
-        u32::try_from(payload.len()).expect("payload over 4 GiB"),
-    );
-    out.extend_from_slice(&payload);
+    push_u32(&mut out, declared);
     out
 }
 
@@ -249,25 +261,30 @@ fn open_frame(bytes: &[u8], want: FrameKind) -> Result<Cursor<'_>, WireError> {
 /// Encode a batch request. Each job's scheme index is rendered through
 /// `schemes` (the engine table the receiver will resolve against).
 pub fn encode_request(jobs: &[Job], schemes: &[BilinearScheme]) -> Vec<u8> {
-    let mut payload = Vec::new();
+    let name = |job: &Job| schemes[job.scheme].name.as_bytes();
+    // Job count, then per job: name length and bytes, M K N, operands.
+    let job_len = |job: &Job| {
+        let values = job.a.as_slice().len() + job.b.as_slice().len();
+        2 + name(job).len() + 12 + 8 * values
+    };
+    let payload_len = 4 + jobs.iter().map(job_len).sum::<usize>();
+    let mut out = header(FrameKind::Request, payload_len);
     push_u32(
-        &mut payload,
+        &mut out,
         u32::try_from(jobs.len()).expect("batch too large"),
     );
     for job in jobs {
-        let name = schemes[job.scheme].name.as_bytes();
-        push_u16(
-            &mut payload,
-            u16::try_from(name.len()).expect("name too long"),
-        );
-        payload.extend_from_slice(name);
-        push_u32(&mut payload, job.a.rows() as u32);
-        push_u32(&mut payload, job.a.cols() as u32);
-        push_u32(&mut payload, job.b.cols() as u32);
-        push_f64s(&mut payload, job.a.as_slice());
-        push_f64s(&mut payload, job.b.as_slice());
+        let name = name(job);
+        push_u16(&mut out, u16::try_from(name.len()).expect("name too long"));
+        out.extend_from_slice(name);
+        push_u32(&mut out, job.a.rows() as u32);
+        push_u32(&mut out, job.a.cols() as u32);
+        push_u32(&mut out, job.b.cols() as u32);
+        push_f64s(&mut out, job.a.as_slice());
+        push_f64s(&mut out, job.b.as_slice());
     }
-    frame(FrameKind::Request, payload)
+    debug_assert_eq!(out.len(), HEADER_LEN + payload_len);
+    out
 }
 
 /// Decode a batch request against an engine scheme table, resolving
@@ -313,17 +330,23 @@ pub fn decode_request(bytes: &[u8], schemes: &[BilinearScheme]) -> Result<Vec<Jo
 
 /// Encode a batch response (products in submission order).
 pub fn encode_response(results: &[Matrix<f64>]) -> Vec<u8> {
-    let mut payload = Vec::new();
+    // Result count, then per result: M N, values.
+    let payload_len = 4 + results
+        .iter()
+        .map(|c| 8 + 8 * c.as_slice().len())
+        .sum::<usize>();
+    let mut out = header(FrameKind::Response, payload_len);
     push_u32(
-        &mut payload,
+        &mut out,
         u32::try_from(results.len()).expect("batch too large"),
     );
     for c in results {
-        push_u32(&mut payload, c.rows() as u32);
-        push_u32(&mut payload, c.cols() as u32);
-        push_f64s(&mut payload, c.as_slice());
+        push_u32(&mut out, c.rows() as u32);
+        push_u32(&mut out, c.cols() as u32);
+        push_f64s(&mut out, c.as_slice());
     }
-    frame(FrameKind::Response, payload)
+    debug_assert_eq!(out.len(), HEADER_LEN + payload_len);
+    out
 }
 
 /// Decode a batch response. Total, like [`decode_request`]. Empty
@@ -352,6 +375,106 @@ pub fn decode_response(bytes: &[u8]) -> Result<Vec<Matrix<f64>>, WireError> {
 mod tests {
     use super::*;
     use fastmm_matrix::scheme::all_schemes;
+
+    /// Reference framing: the header, then a copy of a payload built
+    /// separately. With the per-value pushes below it is the oracle the
+    /// one-pass encoders must match byte for byte.
+    fn frame(kind: FrameKind, payload: Vec<u8>) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        out.extend_from_slice(&MAGIC);
+        push_u16(&mut out, WIRE_VERSION);
+        push_u16(&mut out, kind.code());
+        push_u32(
+            &mut out,
+            u32::try_from(payload.len()).expect("payload over 4 GiB"),
+        );
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    fn push_each_f64(out: &mut Vec<u8>, vals: &[f64]) {
+        for v in vals {
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+
+    fn reference_request(jobs: &[Job], schemes: &[BilinearScheme]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        push_u32(&mut payload, jobs.len() as u32);
+        for job in jobs {
+            let name = schemes[job.scheme].name.as_bytes();
+            push_u16(&mut payload, name.len() as u16);
+            payload.extend_from_slice(name);
+            push_u32(&mut payload, job.a.rows() as u32);
+            push_u32(&mut payload, job.a.cols() as u32);
+            push_u32(&mut payload, job.b.cols() as u32);
+            push_each_f64(&mut payload, job.a.as_slice());
+            push_each_f64(&mut payload, job.b.as_slice());
+        }
+        frame(FrameKind::Request, payload)
+    }
+
+    fn reference_response(results: &[Matrix<f64>]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        push_u32(&mut payload, results.len() as u32);
+        for c in results {
+            push_u32(&mut payload, c.rows() as u32);
+            push_u32(&mut payload, c.cols() as u32);
+            push_each_f64(&mut payload, c.as_slice());
+        }
+        frame(FrameKind::Response, payload)
+    }
+
+    /// Quiet and signalling NaN payloads, signed zeros and infinities, a
+    /// subnormal, and ordinary values.
+    const SPECIAL_BITS: [u64; 9] = [
+        0x7ff8_0000_dead_beef,
+        0xfff0_0000_0000_0001,
+        0x0000_0000_0000_0000,
+        0x8000_0000_0000_0000,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0x0000_0000_0000_0001,
+        0x3ff8_0000_0000_0000,
+        0xc009_21fb_5444_2d18,
+    ];
+
+    fn special(m: usize, n: usize, offset: usize) -> Matrix<f64> {
+        Matrix::from_fn(m, n, |i, j| {
+            f64::from_bits(SPECIAL_BITS[(offset + i * n + j) % SPECIAL_BITS.len()])
+        })
+    }
+
+    #[test]
+    fn one_pass_encoders_emit_the_reference_bytes() {
+        let schemes = all_schemes();
+        let jobs: Vec<Job> = (0..schemes.len())
+            .map(|s| {
+                Job::new(
+                    s,
+                    special(1 + s % 3, 2 + s % 4, s),
+                    special(2 + s % 4, 3, 2 * s),
+                )
+            })
+            .collect();
+        assert_eq!(
+            encode_request(&jobs, &schemes),
+            reference_request(&jobs, &schemes)
+        );
+        assert_eq!(
+            encode_request(&[], &schemes),
+            reference_request(&[], &schemes)
+        );
+
+        let products = [
+            special(3, 3, 0),
+            special(4, 0, 0),
+            special(0, 5, 0),
+            special(1, 9, 4),
+        ];
+        assert_eq!(encode_response(&products), reference_response(&products));
+        assert_eq!(encode_response(&[]), reference_response(&[]));
+    }
 
     fn sample_jobs(schemes: &[BilinearScheme]) -> Vec<Job> {
         let strassen = schemes.iter().position(|s| s.name == "strassen").unwrap();

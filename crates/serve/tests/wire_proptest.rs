@@ -1,7 +1,8 @@
 //! Wire-format totality: round-trips preserve bits for arbitrary
-//! shapes/values, and **no** malformed frame — truncated at any byte,
-//! or corrupted at any byte — can make the decoder panic. Run with
-//! `PROPTEST_CASES=512` for the deep CI sweep.
+//! shapes/values, re-encoding a decoded request reproduces its bytes, and
+//! **no** malformed frame — truncated at any byte, or corrupted at any
+//! byte — can make the decoder panic. Run with `PROPTEST_CASES=512` for
+//! the deep CI sweep.
 
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::scheme::all_schemes;
@@ -24,6 +25,39 @@ fn valid_frame() -> Vec<u8> {
         ),
     ];
     encode_request(&jobs, &schemes)
+}
+
+/// Quiet and signalling NaN payloads, signed zeros and infinities, and a
+/// subnormal: values the wire must carry bit for bit.
+const SPECIAL_BITS: [u64; 7] = [
+    0x7ff8_0000_dead_beef,
+    0xfff0_0000_0000_0001,
+    0x0000_0000_0000_0000,
+    0x8000_0000_0000_0000,
+    0x7ff0_0000_0000_0000,
+    0xfff0_0000_0000_0000,
+    0x0000_0000_0000_0001,
+];
+
+/// SplitMix64's output mix.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// An `m × n` matrix drawn from `seed`: about one entry in three is a
+/// special value, the rest are arbitrary bit patterns.
+fn drawn(m: usize, n: usize, seed: u64) -> Matrix<f64> {
+    Matrix::from_fn(m, n, |i, j| {
+        let h = mix(seed.wrapping_add(((i * n + j) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+        let bits = if h.is_multiple_of(3) {
+            SPECIAL_BITS[(h >> 32) as usize % SPECIAL_BITS.len()]
+        } else {
+            h
+        };
+        f64::from_bits(bits)
+    })
 }
 
 #[test]
@@ -65,6 +99,29 @@ proptest! {
         prop_assert_eq!(back[0].scheme, scheme);
         prop_assert!(back[0].a.bits_eq(&jobs[0].a));
         prop_assert!(back[0].b.bits_eq(&jobs[0].b));
+    }
+
+    #[test]
+    fn reencoding_a_decoded_request_reproduces_its_bytes(
+        shapes in proptest::collection::vec((0usize..8, 1usize..6, 1usize..6, 1usize..6), 0..6),
+        seed in proptest::prelude::any::<u64>(),
+    ) {
+        let schemes = all_schemes();
+        let jobs: Vec<Job> = shapes
+            .iter()
+            .enumerate()
+            .map(|(t, &(scheme, m, k, n))| {
+                let t = 2 * t as u64;
+                Job::new(
+                    scheme % schemes.len(),
+                    drawn(m, k, mix(seed ^ t)),
+                    drawn(k, n, mix(seed ^ (t + 1))),
+                )
+            })
+            .collect();
+        let wire = encode_request(&jobs, &schemes);
+        let back = decode_request(&wire, &schemes).expect("valid frame");
+        prop_assert_eq!(encode_request(&back, &schemes), wire);
     }
 
     #[test]
