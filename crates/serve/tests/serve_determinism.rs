@@ -102,17 +102,17 @@ fn wire_round_trip_through_the_engine_is_bitwise() {
 #[test]
 fn full_queue_rejects_instead_of_growing() {
     let engine = EngineHandle::start(EngineConfig::new(1).with_cutoff(32).with_queue_capacity(2));
-    // A batch larger than the whole queue is rejected outright, before
-    // anything is enqueued.
     let mut rng = StdRng::seed_from_u64(0x5E23E);
-    let big = |rng: &mut StdRng| {
+    let job = |n: usize, rng: &mut StdRng| {
         Job::new(
             0,
-            Matrix::<f64>::random(128, 128, rng),
-            Matrix::<f64>::random(128, 128, rng),
+            Matrix::<f64>::random(n, n, rng),
+            Matrix::<f64>::random(n, n, rng),
         )
     };
-    let oversized: Vec<Job> = (0..3).map(|_| big(&mut rng)).collect();
+    // A batch larger than the whole queue is rejected outright, before
+    // anything is enqueued.
+    let oversized: Vec<Job> = (0..3).map(|_| job(128, &mut rng)).collect();
     match engine.submit(oversized) {
         Submit::Rejected { queue_depth } => assert_eq!(queue_depth, 0),
         Submit::Accepted(_) => panic!("oversized batch must be rejected"),
@@ -120,10 +120,14 @@ fn full_queue_rejects_instead_of_growing() {
     assert_eq!(engine.queue_depth(), 0, "rejection must not leak depth");
 
     // Fill the queue, then overflow it: the overflow is rejected with the
-    // observed depth while the accepted work is unaffected.
-    let accepted = engine.submit((0..2).map(|_| big(&mut rng)).collect());
-    let ticket = accepted.unwrap_ticket();
-    match engine.submit(vec![big(&mut rng)]) {
+    // observed depth while the accepted work is unaffected. The overflow
+    // job is built before the queue fills, and a 384² filling job keeps
+    // the single worker busy for well over a scheduler tick even in a
+    // release build, so the worker cannot finish one in between.
+    let overflow = vec![job(128, &mut rng)];
+    let filling = (0..2).map(|_| job(384, &mut rng)).collect();
+    let ticket = engine.submit(filling).unwrap_ticket();
+    match engine.submit(overflow) {
         Submit::Rejected { queue_depth } => {
             assert!(
                 queue_depth >= 1,
@@ -136,7 +140,7 @@ fn full_queue_rejects_instead_of_growing() {
     assert_eq!(results.len(), 2);
     assert_eq!(engine.queue_depth(), 0, "queue drains to zero");
     // Once drained, capacity is available again.
-    assert!(engine.submit(vec![big(&mut rng)]).is_accepted());
+    assert!(engine.submit(vec![job(128, &mut rng)]).is_accepted());
 }
 
 #[test]
