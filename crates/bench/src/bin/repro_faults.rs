@@ -4,29 +4,31 @@
 //! with every ABFT-recovered gather asserted bitwise identical to
 //! `multiply_scheme` and the recovery overhead priced in words/rank as a
 //! ratio to the memory-independent floor `n²/p^{2/ω₀}`; plus serve-engine
-//! supervision chaos rows. Emits `BENCH_faults.json` at the repo root.
+//! supervision chaos rows. Written machine-readably to
+//! `target/BENCH_faults.json`; refresh the committed copy with
+//! `cp target/BENCH_faults.json .`.
 //!
-//! Usage: `repro_faults [p...]` — rank counts must be powers of 7,
-//! defaulting to 49 and 343. `repro_faults --demo-failure` instead runs
+//! Usage: `repro_faults [p...] | --demo-failure` — rank counts must be
+//! powers of 7, defaulting to 49 and 343. `--demo-failure` instead runs
 //! one scheduled-crash scenario to completion of the *failure* path:
 //! it prints the structured `FASTMM_RUN_FAILED` report to stderr and
 //! exits nonzero — the contract every `repro_*` binary follows when a
 //! simulated rank dies (exercised by the smoke suite).
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--demo-failure") {
+    let (ps, demo) = fastmm_bench::parse_argv(
+        "[p...] | --demo-failure",
+        Some("--demo-failure"),
+        usize::MAX,
+        |p| p >= 7 && 7usize.pow(p.ilog(7)) == p,
+    );
+    if demo {
         demo_failure();
     }
-    let ps: Vec<usize> = args.iter().filter_map(|a| a.parse().ok()).collect();
     let ps = if ps.is_empty() { vec![49, 343] } else { ps };
-    println!(
-        "{}",
-        fastmm_bench::e14_faults(
-            &ps,
-            32,
-            Some(&fastmm_bench::bench_artifact_path("BENCH_faults.json"))
-        )
-    );
+    let (report, rows) = fastmm_bench::e14_faults(&ps, 32);
+    print!("{report}");
+    let path = fastmm_bench::write_artifact("BENCH_faults.json", &rows);
+    println!("  machine-readable emit: {}", path.display());
 }
 
 /// Run a deliberately crashed simulation and take the shared failure

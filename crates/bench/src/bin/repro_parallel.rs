@@ -3,5 +3,6 @@
 //! hardware permitting; the thread sweep is fixed at 1/2/4/8 so runs are
 //! comparable across machines).
 fn main() {
+    fastmm_bench::parse_argv("", None, 0, |_| false);
     println!("{}", fastmm_bench::e10_parallel(1024, &[1, 2, 4, 8]));
 }

@@ -201,8 +201,9 @@ pub fn e4_cor44_small_set() -> String {
     out
 }
 
-/// E5 — Figure 2 and Facts 4.2/4.6: CDAG structure.
-pub fn e5_fig2_structure() -> String {
+/// E5 — Figure 2 and Facts 4.2/4.6: CDAG structure. Returns the report
+/// and the DOT drawings of `Dec₁C` and `H₁`, each with its artifact name.
+pub fn e5_fig2_structure() -> (String, [(&'static str, String); 2]) {
     let mut out = String::new();
     out.push_str("E5  Figure 2 / CDAG structure\n");
     let shape = SchemeShape::from_scheme(&strassen());
@@ -253,11 +254,11 @@ pub fn e5_fig2_structure() -> String {
         h.dec.graph.n_vertices() as f64 / h.graph.n_vertices() as f64,
         h.graph.out_degrees().iter().max().unwrap()
     ));
-    out.push_str("  DOT drawings: target/fig2_dec1.dot, target/fig2_h1.dot\n");
-    std::fs::create_dir_all("target").ok();
-    std::fs::write("target/fig2_dec1.dot", dec1.graph.to_dot("Dec1C")).ok();
-    std::fs::write("target/fig2_h1.dot", h1.graph.to_dot("H1")).ok();
-    out
+    let drawings = [
+        ("fig2_dec1.dot", dec1.graph.to_dot("Dec1C")),
+        ("fig2_h1.dot", h1.graph.to_dot("H1")),
+    ];
+    (out, drawings)
 }
 
 /// E6 — the partition argument (Eq. 6) against executed schedules.
@@ -608,9 +609,9 @@ pub fn e10_parallel(n: usize, thread_counts: &[usize]) -> String {
 /// charged to nobody) and its reported time is the min of two timed
 /// repetitions.
 ///
-/// When `json_path` is `Some`, the table is also emitted as machine-
-/// readable JSON (`BENCH_seq.json`): one object per (scheme, n) row.
-pub fn e11_repro_perf(ns: &[usize], json_path: Option<&str>) -> String {
+/// Returns the report and its `BENCH_seq.json` rows: one JSON object per
+/// (scheme, n) row.
+pub fn e11_repro_perf(ns: &[usize]) -> (String, Vec<String>) {
     use fastmm_matrix::arena::{child_shape, splits};
     use fastmm_matrix::pack::active_simd_level;
     use std::time::Instant;
@@ -687,7 +688,7 @@ pub fn e11_repro_perf(ns: &[usize], json_path: Option<&str>) -> String {
                 rep.arena_words / rep.seq_bound_words
             ));
             json_rows.push(format!(
-                "  {{\"scheme\": {:?}, \"n\": {n}, \"cutoff\": {}, \"levels\": {levels}, \
+                "{{\"scheme\": {:?}, \"n\": {n}, \"cutoff\": {}, \"levels\": {levels}, \
                  \"simd\": \"{simd}\", \"fma\": {fused}, \"seconds\": {secs:.6}, \
                  \"gflops\": {:.4}, \"vs_classical\": {vs_classical:.4}, \
                  \"words_model\": {:.1}, \"bound_words\": {:.1}}}",
@@ -704,18 +705,7 @@ pub fn e11_repro_perf(ns: &[usize], json_path: Option<&str>) -> String {
          before timing; vs_classical = classical time / row time; model/bound flat \
          across n = the Eq. 1 shape)\n",
     );
-    if let Some(path) = json_path {
-        let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            std::fs::create_dir_all(dir).ok();
-        }
-        // A failed emit must fail loudly: CI's perf-smoke job checks the
-        // file's presence, and a swallowed error plus a cached stale file
-        // would keep the gate green while the trajectory stops updating.
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        out.push_str(&format!("  machine-readable emit: {path}\n"));
-    }
-    out
+    (out, json_rows)
 }
 
 /// E12 — distributed-memory execution on simulated ranks: CAPS, Cannon,
@@ -743,10 +733,8 @@ pub fn e11_repro_perf(ns: &[usize], json_path: Option<&str>) -> String {
 /// over **every** registry scheme (square, rectangular, and a
 /// non-divisible shape each), asserting the bitwise gather per scheme.
 ///
-/// When `json_path` is `Some`, the strong-scaling rows are emitted as
-/// machine-readable JSON (`BENCH_dist.json`) — the distributed side of
-/// the per-commit perf trajectory (CI's `dist-smoke` job uploads it).
-pub fn e12_distributed(n: usize, json_path: Option<&str>) -> String {
+/// Returns the report and its strong-scaling rows for `BENCH_dist.json`.
+pub fn e12_distributed(n: usize) -> (String, Vec<String>) {
     use fastmm_parsim::cannon::{cannon_reference, cannon_words_per_rank};
     use fastmm_parsim::exec::{dist_multiply, DistConfig};
 
@@ -762,9 +750,7 @@ pub fn e12_distributed(n: usize, json_path: Option<&str>) -> String {
     out.push_str(
         "  memdep=(n/sqrtM)^w0*M/p at measured M (Cor 1.2/1.4)  memindep=n^2/p^(2/w0) (1202.3177)\n",
     );
-    out.push_str(
-        "  algo     scheme     p    n     words/rank  mem/rank  memdep-LB    memindep-LB  meas/binding\n",
-    );
+    out.push_str(DIST_ROW_HEADER);
     let strassen_scheme = strassen();
     let (a, b) = sample_f64(n, 0xE12 ^ n as u64);
     let naive = multiply_naive(&a, &b);
@@ -775,67 +761,6 @@ pub fn e12_distributed(n: usize, json_path: Option<&str>) -> String {
         );
     };
     let mut json_rows: Vec<String> = Vec::new();
-    let row = |out: &mut String,
-               algo: &str,
-               params: SchemeParams,
-               rep: &DistExecReport,
-               json_rows: &mut Vec<String>| {
-        if rep.local_only {
-            // p = 1 moves no words at all; the parallel floors are vacuous
-            // there (they assume p > 1 participants), so the row is marked
-            // local-only instead of being compared against the bounds.
-            assert_eq!(
-                rep.max_words_per_rank, 0,
-                "{algo} p=1: a single rank must not communicate"
-            );
-        } else {
-            // measured traffic may not beat either lower bound
-            assert!(
-                rep.max_words_per_rank as f64 >= rep.mem_dependent_bound_words,
-                "{algo} p={}: measured {} beats the memory-dependent bound {}",
-                rep.p,
-                rep.max_words_per_rank,
-                rep.mem_dependent_bound_words
-            );
-            assert!(
-                rep.max_words_per_rank as f64 >= rep.mem_independent_bound_words,
-                "{algo} p={}: measured {} beats the memory-independent bound {}",
-                rep.p,
-                rep.max_words_per_rank,
-                rep.mem_independent_bound_words
-            );
-        }
-        out.push_str(&format!(
-            "  {:<8} {:<10} {:<4} {:<5} {:<11} {:<9} {:<12.1} {:<12.1} {}\n",
-            algo,
-            params.name.chars().take(10).collect::<String>(),
-            rep.p,
-            rep.n,
-            rep.max_words_per_rank,
-            rep.max_mem_per_rank,
-            rep.mem_dependent_bound_words,
-            rep.mem_independent_bound_words,
-            if rep.local_only {
-                "local-only".to_string()
-            } else {
-                format!("{:.3}", rep.ratio_to_binding_bound())
-            }
-        ));
-        json_rows.push(format!(
-            "  {{\"algo\": {algo:?}, \"scheme\": {:?}, \"p\": {}, \"n\": {}, \
-             \"words_per_rank\": {}, \"mem_per_rank\": {}, \"bound_memdep\": {:.1}, \
-             \"bound_memindep\": {:.1}, \"critical_path\": {:.3}, \"local_only\": {}}}",
-            params.name,
-            rep.p,
-            rep.n,
-            rep.max_words_per_rank,
-            rep.max_mem_per_rank,
-            rep.mem_dependent_bound_words,
-            rep.mem_independent_bound_words,
-            rep.critical_path_time,
-            rep.local_only
-        ));
-    };
     for &p in &[1usize, 4, 7, 49] {
         // generic engine: every p
         let cfg = DistConfig::new(p).with_cutoff(8);
@@ -846,7 +771,7 @@ pub fn e12_distributed(n: usize, json_path: Option<&str>) -> String {
             &format!("generic p={p}"),
         );
         let rep = dist_exec_report(STRASSEN, n, &res);
-        row(&mut out, "generic", STRASSEN, &rep, &mut json_rows);
+        dist_row(&mut out, &mut json_rows, "generic", STRASSEN, &rep);
         // cannon: perfect squares
         if (p as f64).sqrt().fract() == 0.0 {
             let q = (p as f64).sqrt() as usize;
@@ -855,7 +780,7 @@ pub fn e12_distributed(n: usize, json_path: Option<&str>) -> String {
             assert!(c.max_abs_diff(&naive, |x| x) < 1e-6);
             assert_eq!(res.stats[0].words_sent, cannon_words_per_rank(p, n));
             let rep = dist_exec_report(CLASSICAL, n, &res);
-            row(&mut out, "cannon", CLASSICAL, &rep, &mut json_rows);
+            dist_row(&mut out, &mut json_rows, "cannon", CLASSICAL, &rep);
         }
         // caps: powers of 7
         if p == 1 || p == 7 || p == 49 {
@@ -868,7 +793,7 @@ pub fn e12_distributed(n: usize, json_path: Option<&str>) -> String {
                 );
                 assert_eq!(res.stats[0].words_sent, plan.words_sent_per_rank());
                 let rep = dist_exec_report(STRASSEN, n, &res);
-                row(&mut out, "caps", STRASSEN, &rep, &mut json_rows);
+                dist_row(&mut out, &mut json_rows, "caps", STRASSEN, &rep);
             }
         }
     }
@@ -936,18 +861,78 @@ pub fn e12_distributed(n: usize, json_path: Option<&str>) -> String {
         }
     }
     out.push_str("  (every row above passed the bitwise-gather check against multiply_scheme)\n");
+    (out, json_rows)
+}
 
-    if let Some(path) = json_path {
-        let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            std::fs::create_dir_all(dir).ok();
-        }
-        // Same loud-failure contract as BENCH_seq.json: CI checks the
-        // file's presence, so a swallowed write error must not pass.
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        out.push_str(&format!("  machine-readable emit: {path}\n"));
+/// Column header of the strong-scaling tables [`dist_row`] fills.
+const DIST_ROW_HEADER: &str =
+    "  algo     scheme     p     n     words/rank  mem/rank  memdep-LB    memindep-LB  meas/binding\n";
+
+/// One strong-scaling row of e12/e12b: asserts the measured words/rank
+/// beat neither parallel floor (a `p = 1` run must move no words at all),
+/// then prints the row and pushes its `BENCH_dist.json` object.
+fn dist_row(
+    out: &mut String,
+    json_rows: &mut Vec<String>,
+    algo: &str,
+    params: SchemeParams,
+    rep: &DistExecReport,
+) {
+    if rep.local_only {
+        // p = 1 moves no words at all; the parallel floors are vacuous
+        // there (they assume p > 1 participants), so the row is marked
+        // local-only instead of being compared against the bounds.
+        assert_eq!(
+            rep.max_words_per_rank, 0,
+            "{algo} p=1: a single rank must not communicate"
+        );
+    } else {
+        // measured traffic may not beat either lower bound
+        assert!(
+            rep.max_words_per_rank as f64 >= rep.mem_dependent_bound_words,
+            "{algo} p={}: measured {} beats the memory-dependent bound {}",
+            rep.p,
+            rep.max_words_per_rank,
+            rep.mem_dependent_bound_words
+        );
+        assert!(
+            rep.max_words_per_rank as f64 >= rep.mem_independent_bound_words,
+            "{algo} p={}: measured {} beats the memory-independent bound {}",
+            rep.p,
+            rep.max_words_per_rank,
+            rep.mem_independent_bound_words
+        );
     }
-    out
+    out.push_str(&format!(
+        "  {:<8} {:<10} {:<5} {:<5} {:<11} {:<9} {:<12.1} {:<12.1} {}\n",
+        algo,
+        params.name.chars().take(10).collect::<String>(),
+        rep.p,
+        rep.n,
+        rep.max_words_per_rank,
+        rep.max_mem_per_rank,
+        rep.mem_dependent_bound_words,
+        rep.mem_independent_bound_words,
+        if rep.local_only {
+            "local-only".to_string()
+        } else {
+            format!("{:.3}", rep.ratio_to_binding_bound())
+        }
+    ));
+    json_rows.push(format!(
+        "{{\"algo\": {algo:?}, \"scheme\": {:?}, \"p\": {}, \"n\": {}, \
+         \"words_per_rank\": {}, \"mem_per_rank\": {}, \"bound_memdep\": {:.1}, \
+         \"bound_memindep\": {:.1}, \"critical_path\": {:.3}, \"local_only\": {}}}",
+        params.name,
+        rep.p,
+        rep.n,
+        rep.max_words_per_rank,
+        rep.max_mem_per_rank,
+        rep.mem_dependent_bound_words,
+        rep.mem_independent_bound_words,
+        rep.critical_path_time,
+        rep.local_only
+    ));
 }
 
 /// E12b — strong scaling through `p = 2401` on the event-driven runtime.
@@ -978,10 +963,10 @@ pub fn e12_distributed(n: usize, json_path: Option<&str>) -> String {
 /// and checks the critical path is monotone non-increasing — the
 /// overlap-aware cost model at scale.
 ///
-/// When `json_path` is `Some` and the file already holds the
-/// [`e12_distributed`] array, the scale rows are **appended** to it (the
-/// artifact stays one JSON array: small-p story plus the scaling tail).
-pub fn e12_strong_scaling(n: usize, json_path: Option<&str>) -> String {
+/// Returns the report and its scale rows, in the [`e12_distributed`] row
+/// format: `repro_distributed --scale` appends them to the e12 rows, so
+/// `BENCH_dist.json` stays one array, small-p story first.
+pub fn e12_strong_scaling(n: usize) -> (String, Vec<String>) {
     use fastmm_parsim::cannon::{cannon_reference, cannon_words_per_rank};
     use fastmm_parsim::exec::{dist_multiply, DistConfig};
     use std::collections::BTreeMap;
@@ -997,9 +982,7 @@ pub fn e12_strong_scaling(n: usize, json_path: Option<&str>) -> String {
     out.push_str(
         "  gather checks: caps/generic bitwise == multiply_scheme; cannon bitwise == replay\n",
     );
-    out.push_str(
-        "  algo     scheme     p     n     words/rank  mem/rank  memdep-LB    memindep-LB  meas/binding\n",
-    );
+    out.push_str(DIST_ROW_HEADER);
     let strassen_scheme = strassen();
     let (a, b) = sample_f64(n, 0xE12B ^ n as u64);
     // sequential references, one per cutoff actually used (the generic
@@ -1008,42 +991,6 @@ pub fn e12_strong_scaling(n: usize, json_path: Option<&str>) -> String {
     let mut json_rows: Vec<String> = Vec::new();
     let mut caps_runs: BTreeMap<usize, (u64, usize)> = BTreeMap::new(); // p -> (words, mem)
     let mut cannon_runs: BTreeMap<usize, u64> = BTreeMap::new(); // p -> words
-    let mut row = |out: &mut String, algo: &str, params: SchemeParams, rep: &DistExecReport| {
-        assert!(
-            rep.max_words_per_rank as f64 >= rep.mem_dependent_bound_words
-                && rep.max_words_per_rank as f64 >= rep.mem_independent_bound_words,
-            "{algo} p={}: measured {} beats a lower bound ({} / {})",
-            rep.p,
-            rep.max_words_per_rank,
-            rep.mem_dependent_bound_words,
-            rep.mem_independent_bound_words
-        );
-        out.push_str(&format!(
-            "  {:<8} {:<10} {:<5} {:<5} {:<11} {:<9} {:<12.1} {:<12.1} {:.3}\n",
-            algo,
-            params.name.chars().take(10).collect::<String>(),
-            rep.p,
-            rep.n,
-            rep.max_words_per_rank,
-            rep.max_mem_per_rank,
-            rep.mem_dependent_bound_words,
-            rep.mem_independent_bound_words,
-            rep.ratio_to_binding_bound()
-        ));
-        json_rows.push(format!(
-            "  {{\"algo\": {algo:?}, \"scheme\": {:?}, \"p\": {}, \"n\": {}, \
-             \"words_per_rank\": {}, \"mem_per_rank\": {}, \"bound_memdep\": {:.1}, \
-             \"bound_memindep\": {:.1}, \"critical_path\": {:.3}, \"local_only\": false}}",
-            params.name,
-            rep.p,
-            rep.n,
-            rep.max_words_per_rank,
-            rep.max_mem_per_rank,
-            rep.mem_dependent_bound_words,
-            rep.mem_independent_bound_words,
-            rep.critical_path_time
-        ));
-    };
     for &p in &SCALE_P {
         // generic engine: every p (the event runtime is what makes this
         // affordable — 2401 live ranks, lazily materialised channels)
@@ -1057,7 +1004,7 @@ pub fn e12_strong_scaling(n: usize, json_path: Option<&str>) -> String {
             "e12b generic p={p}: gathered product not bitwise identical"
         );
         let rep = dist_exec_report(STRASSEN, n, &res);
-        row(&mut out, "generic", STRASSEN, &rep);
+        dist_row(&mut out, &mut json_rows, "generic", STRASSEN, &rep);
         // cannon: p a perfect square whose grid divides n
         let q = (p as f64).sqrt().round() as usize;
         if q * q == p && n.is_multiple_of(q) {
@@ -1069,7 +1016,7 @@ pub fn e12_strong_scaling(n: usize, json_path: Option<&str>) -> String {
             assert_eq!(res.stats[0].words_sent, cannon_words_per_rank(p, n));
             let rep = dist_exec_report(CLASSICAL, n, &res);
             cannon_runs.insert(p, rep.max_words_per_rank);
-            row(&mut out, "cannon", CLASSICAL, &rep);
+            dist_row(&mut out, &mut json_rows, "cannon", CLASSICAL, &rep);
         }
         // caps: p = 7^k where the plan is valid at this n
         if let Ok(plan) = CapsPlan::new(p, n, 0) {
@@ -1085,7 +1032,7 @@ pub fn e12_strong_scaling(n: usize, json_path: Option<&str>) -> String {
             assert_eq!(res.stats[0].words_sent, plan.words_sent_per_rank());
             let rep = dist_exec_report(STRASSEN, n, &res);
             caps_runs.insert(p, (rep.max_words_per_rank, rep.max_mem_per_rank));
-            row(&mut out, "caps", STRASSEN, &rep);
+            dist_row(&mut out, &mut json_rows, "caps", STRASSEN, &rep);
         }
     }
 
@@ -1140,30 +1087,7 @@ pub fn e12_strong_scaling(n: usize, json_path: Option<&str>) -> String {
         }
     }
 
-    if let Some(path) = json_path {
-        let rows = json_rows.join(",\n");
-        // splice into an existing e12 artifact so BENCH_dist.json stays a
-        // single array: small-p story first, then the scaling tail
-        let merged = match std::fs::read_to_string(path) {
-            Ok(existing) => {
-                let body = existing
-                    .trim_end()
-                    .strip_suffix(']')
-                    .unwrap_or_else(|| panic!("{path}: existing artifact is not a JSON array"))
-                    .trim_end();
-                if body == "[" {
-                    format!("[\n{rows}\n]\n")
-                } else {
-                    format!("{body},\n{rows}\n]\n")
-                }
-            }
-            Err(_) => format!("[\n{rows}\n]\n"),
-        };
-        // same loud-failure contract as the other artifact emits
-        std::fs::write(path, merged).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        out.push_str(&format!("  machine-readable emit: {path}\n"));
-    }
-    out
+    (out, json_rows)
 }
 
 /// E3 certificate drill-down: replay the Lemma 4.3 proof quantities on the
@@ -1217,16 +1141,13 @@ pub fn e3_certificate_drilldown(k: usize) -> String {
 /// would otherwise dominate the (physically tiny) dispatch overhead
 /// separating worker counts.
 ///
-/// When `json_path` is `Some`, the rows are emitted as machine-readable
-/// JSON (`BENCH_serve.json`) — committed at the repo root and uploaded
-/// by CI's `serve-smoke` job, the serving side of the perf trajectory.
+/// Returns the report and its `BENCH_serve.json` rows, one per cell.
 pub fn e13_serve(
     ns: &[usize],
     batches: &[usize],
     worker_counts: &[usize],
     reps: usize,
-    json_path: Option<&str>,
-) -> String {
+) -> (String, Vec<String>) {
     use fastmm_serve::{EngineConfig, EngineHandle, Job};
     use std::time::Instant;
     let scheme = strassen();
@@ -1306,6 +1227,10 @@ pub fn e13_serve(
                         best_lat = lat;
                     }
                 }
+                assert!(
+                    best_tput > 0.0,
+                    "e13 n={n} batch={batch} workers={workers}: no positive throughput"
+                );
                 best_lat.sort_by(f64::total_cmp);
                 let p50 = percentile(&best_lat, 0.50) * 1e3;
                 let p99 = percentile(&best_lat, 0.99) * 1e3;
@@ -1322,7 +1247,7 @@ pub fn e13_serve(
                     rep.per_worker_share_words / rep.per_job_bound_words
                 ));
                 json_rows.push(format!(
-                    "  {{\"scheme\": {:?}, \"n\": {n}, \"batch\": {batch}, \
+                    "{{\"scheme\": {:?}, \"n\": {n}, \"batch\": {batch}, \
                      \"workers\": {workers}, \"cutoff\": {cutoff}, \
                      \"multiplies_per_sec\": {best_tput:.4}, \
                      \"p50_ms\": {p50:.4}, \"p99_ms\": {p99:.4}, \
@@ -1337,18 +1262,7 @@ pub fn e13_serve(
         "  (throughput is best-of-reps; p50/p99 are batch-relative completion \
          latencies from the best rep)\n",
     );
-    if let Some(path) = json_path {
-        let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            std::fs::create_dir_all(dir).ok();
-        }
-        // Loud failure for the same reason as e11: CI's serve-smoke job
-        // gates on this file, and a silently stale artifact would keep
-        // the gate green while the trajectory stops updating.
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        out.push_str(&format!("  machine-readable emit: {path}\n"));
-    }
-    out
+    (out, json_rows)
 }
 
 /// E14 — fault injection and ABFT recovery: what surviving faults *costs*.
@@ -1379,9 +1293,8 @@ pub fn e13_serve(
 /// always-failing job surfaces `WorkerPanicked` — the ticket resolving
 /// every slot either way.
 ///
-/// When `json_path` is `Some`, rows are emitted as `BENCH_faults.json`
-/// (committed at the repo root; CI's chaos-smoke job uploads it).
-pub fn e14_faults(ps: &[usize], n: usize, json_path: Option<&str>) -> String {
+/// Returns the report and its `BENCH_faults.json` rows.
+pub fn e14_faults(ps: &[usize], n: usize) -> (String, Vec<String>) {
     use fastmm_parsim::exec::{try_dist_multiply, DistConfig, Recovery, TAG_DOWN};
     use fastmm_parsim::{FaultPlan, InjectedKind};
 
@@ -1456,7 +1369,7 @@ pub fn e14_faults(ps: &[usize], n: usize, json_path: Option<&str>) -> String {
                         rep.overhead_ratio_to_floor()
                     ));
                     json_rows.push(format!(
-                        "  {{\"p\": {p}, \"n\": {n}, \"scenario\": {scenario:?}, \
+                        "{{\"p\": {p}, \"n\": {n}, \"scenario\": {scenario:?}, \
                          \"mode\": {:?}, \"outcome\": \"ok\", \"bitwise\": {bitwise}, \
                          \"frames_corrected\": {}, \"frames_retried\": {}, \
                          \"overhead_words_per_rank\": {}, \"overhead_ratio_to_floor\": {:.6}, \
@@ -1483,7 +1396,7 @@ pub fn e14_faults(ps: &[usize], n: usize, json_path: Option<&str>) -> String {
                         e.rank
                     ));
                     json_rows.push(format!(
-                        "  {{\"p\": {p}, \"n\": {n}, \"scenario\": {scenario:?}, \
+                        "{{\"p\": {p}, \"n\": {n}, \"scenario\": {scenario:?}, \
                          \"mode\": {:?}, \"outcome\": \"failed\", \"rank\": {}, \
                          \"injected\": {inj:?}}}",
                         mode_name(mode),
@@ -1588,7 +1501,7 @@ pub fn e14_faults(ps: &[usize], n: usize, json_path: Option<&str>) -> String {
                 labels[i], panics[i], outcome, bitwise
             ));
             json_rows.push(format!(
-                "  {{\"scenario\": \"serve-{}\", \"injected_panics\": {:?}, \
+                "{{\"scenario\": \"serve-{}\", \"injected_panics\": {:?}, \
                  \"outcome\": {outcome:?}, \"bitwise\": {bitwise:?}}}",
                 labels[i], panics[i]
             ));
@@ -1603,17 +1516,7 @@ pub fn e14_faults(ps: &[usize], n: usize, json_path: Option<&str>) -> String {
         "  (every abft row above passed the bitwise-gather assertion; every failure \
          carried injected provenance)\n",
     );
-    if let Some(path) = json_path {
-        let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            std::fs::create_dir_all(dir).ok();
-        }
-        // Loud failure as with e11/e12/e13: CI's chaos-smoke job gates on
-        // this file existing and being fresh.
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        out.push_str(&format!("  machine-readable emit: {path}\n"));
-    }
-    out
+    (out, json_rows)
 }
 
 /// E15 — Graph scale: million-vertex decode graphs on the flat CSR core,
@@ -1626,8 +1529,9 @@ pub fn e14_faults(ps: &[usize], n: usize, json_path: Option<&str>) -> String {
 /// footprint in `u32` words. Part B evaluates
 /// [`rank_bound_report`] for every registry scheme across a memory sweep,
 /// printing which of the two lower bounds binds where (the rank bound takes
-/// over from Thm 1.1 at large `M`).
-pub fn e15_graph_scale(levels: &[usize], json_path: Option<&str>) -> String {
+/// over from Thm 1.1 at large `M`, asserted to happen somewhere in the
+/// sweep). Returns the report and its `BENCH_graph.json` rows.
+pub fn e15_graph_scale(levels: &[usize]) -> (String, Vec<String>) {
     use std::time::Instant;
 
     let mut out = String::new();
@@ -1657,6 +1561,11 @@ pub fn e15_graph_scale(levels: &[usize], json_path: Option<&str>) -> String {
         let csr_words = 4 * e + 2 * (n + 1);
         let build_vps = n as f64 / build.as_secs_f64().max(1e-9);
         let layer_vps = n as f64 / layer.as_secs_f64().max(1e-9);
+        assert!(
+            n > 0 && e > 0 && build_vps > 0.0 && layer_vps > 0.0,
+            "e15 l={l}: empty graph or zero throughput ({n} vertices, {e} edges, \
+             {build_vps} / {layer_vps} vertices/s)"
+        );
         out.push_str(&format!(
             "  {:<3} {:<10} {:<10} {:<9.1} {:<9.1} {:<12.0} {:<12.0} {}\n",
             l,
@@ -1669,7 +1578,7 @@ pub fn e15_graph_scale(levels: &[usize], json_path: Option<&str>) -> String {
             csr_words
         ));
         json_rows.push(format!(
-            "  {{\"kind\": \"graph_scale\", \"scheme\": \"strassen\", \"level\": {l}, \
+            "{{\"kind\": \"graph_scale\", \"scheme\": \"strassen\", \"level\": {l}, \
              \"vertices\": {n}, \"edges\": {e}, \"build_ms\": {:.3}, \"layer_ms\": {:.3}, \
              \"build_vertices_per_sec\": {:.0}, \"layer_vertices_per_sec\": {:.0}, \
              \"csr_words\": {csr_words}}}",
@@ -1683,6 +1592,7 @@ pub fn e15_graph_scale(levels: &[usize], json_path: Option<&str>) -> String {
     out.push_str("\n  Rank-expansion (arXiv:2107.09834) vs Theorem 1.1, per registry scheme\n");
     out.push_str("  exact=* means the base sigma table is exhaustive (r <= 16 rows)\n");
     out.push_str("  scheme                 r   l  exact  M      rank_io     thm11       binding\n");
+    let mut rank_binds = false;
     for s in fastmm_matrix::scheme::all_schemes() {
         // deep enough that 3·rank(W)^l clears 3M across the sweep
         let lv: u32 = if s.r > 20 {
@@ -1694,6 +1604,7 @@ pub fn e15_graph_scale(levels: &[usize], json_path: Option<&str>) -> String {
         };
         for m in [64usize, 1024, 4096] {
             let rep = rank_bound_report(&s, lv, m);
+            rank_binds |= rep.rank_dominates();
             let binding = if rep.rank_dominates() {
                 "rank"
             } else {
@@ -1711,7 +1622,7 @@ pub fn e15_graph_scale(levels: &[usize], json_path: Option<&str>) -> String {
                 binding
             ));
             json_rows.push(format!(
-                "  {{\"kind\": \"rank_bound\", \"scheme\": {:?}, \"r\": {}, \"levels\": {lv}, \
+                "{{\"kind\": \"rank_bound\", \"scheme\": {:?}, \"r\": {}, \"levels\": {lv}, \
                  \"m\": {m}, \"rank_io_words\": {}, \"thm11_words\": {:.1}, \
                  \"rank_dominates\": {}, \"exact_base\": {}, \"best_k\": {}}}",
                 s.name,
@@ -1728,15 +1639,11 @@ pub fn e15_graph_scale(levels: &[usize], json_path: Option<&str>) -> String {
         "  (rank bound overtakes Thm 1.1 at large M: its segment profile loses only \
          3M*R/k\n   where Thm 1.1 decays like M^(1-w0/2))\n",
     );
-    if let Some(path) = json_path {
-        let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            std::fs::create_dir_all(dir).ok();
-        }
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        out.push_str(&format!("  machine-readable emit: {path}\n"));
-    }
-    out
+    assert!(
+        rank_binds,
+        "e15: the rank bound must beat Theorem 1.1 somewhere in the sweep"
+    );
+    (out, json_rows)
 }
 
 #[cfg(test)]
@@ -1752,7 +1659,7 @@ mod tests {
 
     #[test]
     fn e5_structure_flags_classical() {
-        let s = e5_fig2_structure();
+        let (s, _) = e5_fig2_structure();
         assert!(s.contains("4 components"));
         assert!(s.contains("connected=true"));
     }

@@ -6,6 +6,10 @@
 //! EXPERIMENTS.md records a snapshot. Shapes (who wins, scaling ratios,
 //! crossovers) are the reproduction target — absolute constants depend on
 //! the simulated machine.
+//!
+//! Experiments never touch the file system: the ones with a
+//! machine-readable side return its JSON rows next to the report, and the
+//! binaries hand them to [`write_artifact`], the one writer.
 
 #![warn(missing_docs)]
 
@@ -13,23 +17,75 @@ pub mod experiments;
 
 pub use experiments::*;
 
-/// Absolute path of a benchmark artifact at the **repository root**
-/// (`BENCH_seq.json`, `BENCH_dist.json`). The repo root is two levels
-/// above this crate's manifest, resolved at compile time — stable no
-/// matter which directory the binary is invoked from, unlike the old
-/// `target/`-relative paths that landed wherever the CWD happened to
-/// be. The emitted files are committed, so the perf trajectory diffs
-/// across PRs.
-pub fn bench_artifact_path(name: &str) -> String {
-    format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"))
+use std::path::{Path, PathBuf};
+
+/// Write `rows` to `<repo>/target/<name>` and return the path: one JSON
+/// array (`[`, the rows comma-separated, `]`) for a `.json` name, the rows
+/// back to back for any other (a DOT drawing is one row). The repository
+/// root is resolved at compile time, so the file lands in the same place
+/// whatever directory the binary runs from; nothing ever writes a
+/// committed artifact at the root — refresh one with
+/// `cp target/<name> .`.
+///
+/// # Panics
+///
+/// On an empty row list (a run that produced nothing must not look like
+/// one that did) and on any I/O error, naming the path.
+pub fn write_artifact(name: &str, rows: &[String]) -> PathBuf {
+    assert!(
+        !rows.is_empty(),
+        "{name}: refusing to write an empty artifact"
+    );
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the repository root")
+        .join("target");
+    let path = dir.join(name);
+    let body = if name.ends_with(".json") {
+        format!("[\n  {}\n]\n", rows.join(",\n  "))
+    } else {
+        rows.concat()
+    };
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
+    std::fs::write(&path, body).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    path
 }
 
-/// Absolute path of an uncommitted benchmark artifact under the
-/// repository's `target/` directory, resolved like
-/// [`bench_artifact_path`]: where smoke-size runs write, so they never
-/// overwrite the committed copy.
-pub fn bench_smoke_path(name: &str) -> String {
-    format!("{}/../../target/{name}", env!("CARGO_MANIFEST_DIR"))
+/// The one argv parser of the `repro_*` binaries: returns the positional
+/// values in order and whether `flag` was passed. A binary takes at most
+/// `max_values` values, each a positive integer that `valid` accepts, plus
+/// its one `flag` if it has one. Anything else — an unknown flag, `--`, a
+/// zero, a value `valid` rejects, one value too many — prints
+/// `usage: <binary> <usage>` to stderr and exits with status 2 before any
+/// experiment runs: a typo never falls back to a default.
+pub fn parse_argv(
+    usage: &str,
+    flag: Option<&str>,
+    max_values: usize,
+    valid: fn(usize) -> bool,
+) -> (Vec<usize>, bool) {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    let bin = Path::new(&bin)
+        .file_name()
+        .map_or(bin.clone(), |f| f.to_string_lossy().into_owned());
+    let (mut values, mut flagged) = (Vec::new(), false);
+    for arg in args {
+        if Some(arg.as_str()) == flag {
+            flagged = true;
+            continue;
+        }
+        match arg.parse::<usize>() {
+            Ok(v) if v > 0 && valid(v) && values.len() < max_values => values.push(v),
+            _ => {
+                eprintln!("{bin}: unexpected argument {arg:?}");
+                eprintln!("{}", format!("usage: {bin} {usage}").trim_end());
+                std::process::exit(2);
+            }
+        }
+    }
+    (values, flagged)
 }
 
 /// Exit code the `repro_*` binaries use when a simulated rank fails.

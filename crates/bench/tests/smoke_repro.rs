@@ -1,11 +1,13 @@
 //! Smoke tests over every experiment the `repro_*` binaries call.
 //!
-//! Each binary's `main` is a thin `println!` wrapper around one of these
-//! library functions, so exercising the functions here (with small
-//! parameters where they take any) keeps the whole `repro_*` family from
-//! silently rotting: an experiment that panics, returns empty output, or
-//! loses its headline table fails this suite instead of failing only when a
-//! human next runs the binary.
+//! Each binary's `main` is a thin wrapper around one of these library
+//! functions (parse argv, print the report, write the rows), so exercising
+//! the functions here (with small parameters where they take any) keeps
+//! the whole `repro_*` family from silently rotting: an experiment that
+//! panics, returns empty output, or loses its headline table fails this
+//! suite instead of failing only when a human next runs the binary. The
+//! binaries' own contract — argv rejected with status 2, the failure
+//! report — is driven end to end through `CARGO_BIN_EXE_*`.
 
 use fastmm_bench as exp;
 
@@ -20,6 +22,18 @@ fn assert_report(name: &str, out: &str, marker: &str, min_lines: usize) {
         "{name}: expected >= {min_lines} lines, got {}:\n{out}",
         out.lines().count()
     );
+}
+
+/// The rows of a `BENCH_*.json` artifact, each checked to be one JSON
+/// object, joined for needle searches.
+fn json_objects(rows: &[String]) -> String {
+    for row in rows {
+        assert!(
+            row.starts_with('{') && row.ends_with('}'),
+            "not a JSON object: {row}"
+        );
+    }
+    rows.join(",\n")
 }
 
 #[test]
@@ -56,7 +70,7 @@ fn e4_small_set_smoke() {
 
 #[test]
 fn e5_cdag_structure_smoke() {
-    assert_report("e5", &exp::e5_fig2_structure(), "Figure 2", 5);
+    assert_report("e5", &exp::e5_fig2_structure().0, "Figure 2", 5);
 }
 
 #[test]
@@ -130,7 +144,7 @@ fn e11_perf_trajectory_smoke() {
     // internal scheme-vs-classical accuracy check) is complete at small n.
     assert_report(
         "e11",
-        &exp::e11_repro_perf(&[64, 96], None),
+        &exp::e11_repro_perf(&[64, 96]).0,
         "Sequential perf",
         8,
     );
@@ -139,11 +153,10 @@ fn e11_perf_trajectory_smoke() {
 #[test]
 fn e11_golden_header_rows_and_json_emit() {
     // Golden check: headline columns, the classical baseline plus both
-    // schemes per n, the bound formula, and a well-formed BENCH_seq.json
-    // emit. The bound formula string must stay verbatim (downstream
-    // tooling greps for it, as with e10).
-    let path = "target/test_BENCH_seq.json";
-    let out = exp::e11_repro_perf(&[64], Some(path));
+    // schemes per n, the bound formula, and the BENCH_seq.json rows. The
+    // bound formula string must stay verbatim (downstream tooling greps
+    // for it, as with e10).
+    let (out, rows) = exp::e11_repro_perf(&[64]);
     for needle in [
         "GFLOP/s",
         "vs_classical",
@@ -152,7 +165,6 @@ fn e11_golden_header_rows_and_json_emit() {
         "simd=",
         "bound=(n/sqrtM)^w0*M",
         "checked against the classical row",
-        "machine-readable emit",
     ] {
         assert!(
             out.contains(needle),
@@ -165,9 +177,7 @@ fn e11_golden_header_rows_and_json_emit() {
             "e11: missing row {scheme}:\n{out}"
         );
     }
-    let json = std::fs::read_to_string(path).expect("BENCH_seq.json written");
-    assert!(json.trim_start().starts_with('['));
-    assert!(json.trim_end().ends_with(']'));
+    let json = json_objects(&rows);
     for needle in [
         "\"scheme\": \"classical\"",
         "\"scheme\": \"strassen\"",
@@ -186,7 +196,7 @@ fn e11_golden_header_rows_and_json_emit() {
         );
     }
     // one object per (scheme, n) row, the classical baseline included
-    assert_eq!(json.matches("\"scheme\"").count(), 3);
+    assert_eq!(rows.len(), 3);
 }
 
 #[test]
@@ -196,7 +206,7 @@ fn e12_distributed_smoke() {
     // assertions) is complete at the smallest valid size n = 28.
     assert_report(
         "e12",
-        &exp::e12_distributed(28, None),
+        &exp::e12_distributed(28).0,
         "Distributed-memory execution",
         12,
     );
@@ -210,8 +220,7 @@ fn e12_golden_bounds_headers_and_json_emit() {
     // them, as with e10/e11), and running the experiment executes the
     // internal `measured >= bound` assertions for every p > 1 row plus
     // the bitwise gather checks for every algorithm.
-    let path = "target/test_BENCH_dist.json";
-    let out = exp::e12_distributed(28, Some(path));
+    let (out, rows) = exp::e12_distributed(28);
     for needle in [
         "memdep=(n/sqrtM)^w0*M/p",
         "memindep=n^2/p^(2/w0)",
@@ -221,7 +230,6 @@ fn e12_golden_bounds_headers_and_json_emit() {
         "meas/binding",
         "CAPS DFS/BFS interleaving",
         "every registry scheme (p = 7, bitwise-gathered)",
-        "machine-readable emit",
     ] {
         assert!(
             out.contains(needle),
@@ -245,9 +253,7 @@ fn e12_golden_bounds_headers_and_json_emit() {
             "e12: missing strong-scaling row {needle:?}:\n{out}"
         );
     }
-    let json = std::fs::read_to_string(path).expect("BENCH_dist.json written");
-    assert!(json.trim_start().starts_with('['));
-    assert!(json.trim_end().ends_with(']'));
+    let json = json_objects(&rows);
     for needle in [
         "\"algo\": \"generic\"",
         "\"algo\": \"cannon\"",
@@ -265,7 +271,7 @@ fn e12_golden_bounds_headers_and_json_emit() {
         );
     }
     // 4 generic + 3 cannon (p=1,4,49) + 3 caps (p=1,7,49) rows
-    assert_eq!(json.matches("\"algo\"").count(), 10);
+    assert_eq!(rows.len(), 10);
 }
 
 #[test]
@@ -273,15 +279,13 @@ fn e12b_strong_scaling_shape_crossover_and_json_append() {
     // The CI sweep runs at n = 784 in release (where CAPS is valid all the
     // way to p = 2401 and the crossover against Cannon is asserted); the
     // report's shape — all three rank counts actually executing, the
-    // strong-scaling-limit line, the overlap sweep, and the JSON append
-    // path — is already complete at n = 392, where CAPS reaches p = 343
-    // and Cannon reaches p = 2401.
-    let path = "target/test_BENCH_dist_scale.json";
-    let _ = std::fs::remove_file(path);
-    // seed the artifact with the small-p array so the append path is
-    // exercised, not just the fresh-write fallback
-    let _ = exp::e12_distributed(28, Some(path));
-    let out = exp::e12_strong_scaling(392, Some(path));
+    // strong-scaling-limit line, the overlap sweep, and the rows that
+    // `repro_distributed --scale` appends to the e12 rows — is already
+    // complete at n = 392, where CAPS reaches p = 343 and Cannon reaches
+    // p = 2401.
+    let (_, mut rows) = exp::e12_distributed(28);
+    let (out, scale_rows) = exp::e12_strong_scaling(392);
+    rows.extend(scale_rows);
     for needle in [
         "Strong scaling to p = 2401",
         "generic  strassen   49 ",
@@ -294,22 +298,19 @@ fn e12b_strong_scaling_shape_crossover_and_json_append() {
         "crossover: p=49",
         "perfect strong scaling ends at p*",
         "overlap sweep (caps, p = 343",
-        "machine-readable emit",
     ] {
         assert!(
             out.contains(needle),
             "e12b: expected {needle:?} in output:\n{out}"
         );
     }
-    let json = std::fs::read_to_string(path).expect("appended artifact");
-    assert!(json.trim_start().starts_with('['));
-    assert!(json.trim_end().ends_with(']'));
-    // 10 small-p rows + 3 generic + 2 cannon + 2 caps scale rows, spliced
-    // into ONE well-formed array
+    // 10 small-p rows + 3 generic + 2 cannon + 2 caps scale rows, in the
+    // one row format
+    let json = json_objects(&rows);
+    assert_eq!(rows.len(), 17);
     assert_eq!(json.matches("\"algo\"").count(), 17);
     assert!(json.contains("\"local_only\": true"), "p=1 rows marked");
     assert!(json.contains("\"p\": 2401"), "scale rows present");
-    assert_eq!(json.matches('[').count(), 1, "append produced one array");
 }
 
 #[test]
@@ -319,7 +320,7 @@ fn e13_serve_smoke() {
     // multiply_scheme assertion per cell) is complete at one small cell.
     assert_report(
         "e13",
-        &exp::e13_serve(&[32], &[4], &[1, 2], 2, None),
+        &exp::e13_serve(&[32], &[4], &[1, 2], 2).0,
         "Serving throughput",
         6,
     );
@@ -328,10 +329,8 @@ fn e13_serve_smoke() {
 #[test]
 fn e13_golden_header_rows_and_json_emit() {
     // Golden check: headline columns, one row per (n, batch, workers)
-    // cell, the best-of-reps note, and a well-formed BENCH_serve.json
-    // emit (the serve-smoke CI job greps the same fields).
-    let path = "target/test_BENCH_serve.json";
-    let out = exp::e13_serve(&[32], &[4], &[1, 2], 2, Some(path));
+    // cell, the best-of-reps note, and the BENCH_serve.json rows.
+    let (out, rows) = exp::e13_serve(&[32], &[4], &[1, 2], 2);
     for needle in [
         "mult/s",
         "p50(ms)",
@@ -339,7 +338,6 @@ fn e13_golden_header_rows_and_json_emit() {
         "share_words/worker",
         "bitwise-verified vs",
         "best-of-reps",
-        "machine-readable emit",
     ] {
         assert!(
             out.contains(needle),
@@ -353,9 +351,7 @@ fn e13_golden_header_rows_and_json_emit() {
             "e13: missing row n=32 workers={workers}:\n{out}"
         );
     }
-    let json = std::fs::read_to_string(path).expect("BENCH_serve.json written");
-    assert!(json.trim_start().starts_with('['));
-    assert!(json.trim_end().ends_with(']'));
+    let json = json_objects(&rows);
     for needle in [
         "\"scheme\": \"strassen\"",
         "\"n\": 32",
@@ -373,7 +369,7 @@ fn e13_golden_header_rows_and_json_emit() {
         );
     }
     // one object per (n, batch, workers) cell
-    assert_eq!(json.matches("\"scheme\"").count(), 2);
+    assert_eq!(rows.len(), 2);
 }
 
 #[test]
@@ -383,7 +379,7 @@ fn e14_faults_smoke() {
     // complete at p = 7.
     assert_report(
         "e14",
-        &exp::e14_faults(&[7], 16, None),
+        &exp::e14_faults(&[7], 16).0,
         "Fault injection and ABFT recovery",
         12,
     );
@@ -394,9 +390,8 @@ fn e14_golden_rows_and_json_emit() {
     // Golden check: every scenario × mode cell of the matrix appears,
     // the silent-corruption row is explicitly non-bitwise, failures carry
     // injected provenance, the serve chaos rows resolve, and the
-    // BENCH_faults.json emit is well-formed (chaos-smoke CI greps these).
-    let path = "target/test_BENCH_faults.json";
-    let out = exp::e14_faults(&[7], 16, Some(path));
+    // BENCH_faults.json rows carry every cell.
+    let (out, rows) = exp::e14_faults(&[7], 16);
     for needle in [
         "floor=n^2/p^(2/w0)",
         "ovh_words/rank",
@@ -413,16 +408,13 @@ fn e14_golden_rows_and_json_emit() {
         "serve supervision chaos",
         "transient      1       ok             true",
         "poisoned       inf     panicked",
-        "machine-readable emit",
     ] {
         assert!(
             out.contains(needle),
             "e14: expected {needle:?} in output:\n{out}"
         );
     }
-    let json = std::fs::read_to_string(path).expect("BENCH_faults.json written");
-    assert!(json.trim_start().starts_with('['));
-    assert!(json.trim_end().ends_with(']'));
+    let json = json_objects(&rows);
     for needle in [
         "\"scenario\": \"clean\"",
         "\"scenario\": \"single-bit\"",
@@ -444,7 +436,7 @@ fn e14_golden_rows_and_json_emit() {
         );
     }
     // 8 dist rows (3 clean + 3 single-bit + 1 double-bit + 1 crash) + 3 serve rows
-    assert_eq!(json.matches("\"scenario\"").count(), 11);
+    assert_eq!(rows.len(), 11);
 }
 
 #[test]
@@ -474,15 +466,58 @@ fn repro_faults_demo_failure_exits_nonzero_with_structured_report() {
 
 #[test]
 fn repro_distributed_rejects_malformed_arguments_with_status_2() {
-    // Before any run: a typo must neither panic nor fall back to a default.
-    for arg in ["--bogus", "0", "27", "--scale=28", "--scale=x", "--"] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro_distributed"))
-            .arg(arg)
-            .output()
-            .expect("repro_distributed runs");
-        assert_eq!(out.status.code(), Some(2), "{arg:?}");
-        assert!(out.stdout.is_empty(), "{arg:?} ran an experiment");
+    // Every repro binary, before any run: a typo neither panics, nor
+    // falls back to a default, nor runs an experiment (which would
+    // rewrite an artifact).
+    let common = ["--bogus", "--commit", "--"];
+    let table: [(&str, &[&str]); 16] = [
+        (env!("CARGO_BIN_EXE_repro_all"), &[]),
+        (env!("CARGO_BIN_EXE_repro_caps_optimality"), &[]),
+        (env!("CARGO_BIN_EXE_repro_cor44_smallset"), &[]),
+        (
+            env!("CARGO_BIN_EXE_repro_distributed"),
+            &["0", "27", "--scale=56"],
+        ),
+        (env!("CARGO_BIN_EXE_repro_faults"), &["0", "50"]),
+        (env!("CARGO_BIN_EXE_repro_fig2_cdag"), &[]),
+        (env!("CARGO_BIN_EXE_repro_graph_scale"), &["0"]),
+        (env!("CARGO_BIN_EXE_repro_lemma43_expansion"), &["0"]),
+        (env!("CARGO_BIN_EXE_repro_parallel"), &[]),
+        (env!("CARGO_BIN_EXE_repro_partition_bound"), &[]),
+        (env!("CARGO_BIN_EXE_repro_perf"), &["0"]),
+        (env!("CARGO_BIN_EXE_repro_rectangular"), &[]),
+        (env!("CARGO_BIN_EXE_repro_serve"), &["0"]),
+        (env!("CARGO_BIN_EXE_repro_table1_parallel"), &[]),
+        (env!("CARGO_BIN_EXE_repro_thm11_seq_io"), &[]),
+        (env!("CARGO_BIN_EXE_repro_thm13_strassenlike"), &[]),
+    ];
+    for (bin, extra) in table {
+        for arg in common.iter().chain(extra) {
+            let out = std::process::Command::new(bin)
+                .arg(arg)
+                .output()
+                .expect("repro binary runs");
+            assert_eq!(out.status.code(), Some(2), "{bin} {arg:?}");
+            assert!(out.stdout.is_empty(), "{bin} {arg:?} ran an experiment");
+        }
     }
+}
+
+#[test]
+fn write_artifact_lands_one_array_under_the_repo_target_dir() {
+    let rows = vec!["{\"a\": 1}".to_string(), "{\"a\": 2}".to_string()];
+    let path = exp::write_artifact("test_write_artifact.json", &rows);
+    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    assert_eq!(
+        path.canonicalize().unwrap(),
+        repo.join("target/test_write_artifact.json")
+            .canonicalize()
+            .unwrap()
+    );
+    let json = std::fs::read_to_string(&path).expect("artifact written");
+    assert_eq!(json, "[\n  {\"a\": 1},\n  {\"a\": 2}\n]\n");
+    let empty = std::panic::catch_unwind(|| exp::write_artifact("test_write_artifact.json", &[]));
+    assert!(empty.is_err(), "an empty row list must panic");
 }
 
 #[test]
@@ -504,7 +539,7 @@ fn rank_failure_report_renders_organic_failures_too() {
 #[test]
 fn e15_graph_scale_smoke() {
     // debug builds stay at small l; the binary's release default is 5 6 7
-    let out = exp::e15_graph_scale(&[2, 3], None);
+    let (out, rows) = exp::e15_graph_scale(&[2, 3]);
     assert_report("e15", &out, "Graph scale", 10);
     assert_report("e15", &out, "rank-expansion", 10);
     // one Dec row per requested level, each with nonzero throughput
@@ -525,6 +560,9 @@ fn e15_graph_scale_smoke() {
             .any(|ln| ln.contains("strassen ") && ln.contains("4096") && ln.ends_with("rank")),
         "e15: expected a rank-binding strassen row at M=4096:\n{out}"
     );
+    // 2 graph rows + 8 registry schemes x 3 memory sizes
+    assert_eq!(rows.len(), 26);
+    assert!(json_objects(&rows).contains("\"rank_dominates\": true"));
 }
 
 #[test]

@@ -1,38 +1,17 @@
-//! ABFT — algorithm-based fault tolerance for matrix products, two layers.
+//! ABFT — algorithm-based fault tolerance for message payloads.
 //!
-//! **Frame checksums** (exact, wire-level): a payload of `L` words is
-//! viewed as a near-square grid and augmented with one XOR parity word per
-//! grid row and per grid column ([`encode_frame`]). XOR over the `f64`
-//! *bit patterns* is exact — no floating-point tolerance — so a receiver
-//! can detect any single corrupted word, locate it as the intersection of
-//! the one failing row and the one failing column, and restore its
-//! original bits ([`decode_frame`]). The overhead is `O(√L)` words
+//! A payload of `L` words is viewed as a near-square grid and augmented
+//! with one XOR parity word per grid row and per grid column
+//! ([`encode_frame`]). XOR over the `f64` *bit patterns* is exact — no
+//! floating-point tolerance — so a receiver can detect any single
+//! corrupted word, locate it as the intersection of the one failing row
+//! and the one failing column, and restore its original bits
+//! ([`decode_frame`]). The overhead is `O(√L)` words
 //! ([`frame_checksum_words`]). This is what the distributed engines ship
 //! on every inter-rank block under their recovery modes: a corrupted
 //! child product (or operand frame) is corrected in place, bit-for-bit,
 //! which is why recovered gathers stay bitwise identical to
 //! `multiply_scheme`.
-//!
-//! **Huang–Abraham product checksums** (arithmetic, compute-level): the
-//! classical ABFT construction wrapped around
-//! [`multiply_into`]. Augment `A` with a row
-//! of column sums and `B` with a column of row sums
-//! ([`augment_operands`]); then the augmented product
-//! `C' = A'·B'` carries its own row/column sums, and a fault anywhere in
-//! the multiply shows up as exactly one inconsistent row relation and one
-//! inconsistent column relation — detect, locate, and correct via
-//! [`correct_product`]. Sums here are floating-point, so verification is
-//! tolerance-based ([`abft_tolerance`]) and correction is approximate (it
-//! cancels the defect, it does not replay the multiply) — the arithmetic
-//! layer guards the *computation*, the frame layer guards the *wire*.
-//!
-//! The extra traffic of the arithmetic augmentation is costed by
-//! [`abft_overhead_words`] in the same words-moved currency as the
-//! `words_model` columns of the e-series reports.
-
-use crate::arena::{multiply_into, ScratchArena};
-use crate::dense::Matrix;
-use crate::scheme::BilinearScheme;
 
 /// Grid geometry `(rows, cols)` a payload of `len` words is checksummed
 /// under: `cols = ⌈√len⌉`, `rows = ⌈len/cols⌉`. Empty payloads have no
@@ -176,185 +155,9 @@ pub fn decode_frame(frame: &mut Vec<f64>, payload_len: usize) -> FrameOutcome {
     outcome
 }
 
-/// Huang–Abraham augmentation: `A' = [A; colsums(A)]` (`(m+1)×k`) and
-/// `B' = [B | rowsums(B)]` (`k×(n+1)`), so that `C' = A'·B'` carries the
-/// column sums of `C` in its last row and the row sums of `C` in its last
-/// column (with the grand total at the corner).
-pub fn augment_operands(a: &Matrix<f64>, b: &Matrix<f64>) -> (Matrix<f64>, Matrix<f64>) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(k, b.rows(), "inner dimensions must agree");
-    let aa = Matrix::from_fn(m + 1, k, |i, j| {
-        if i < m {
-            a[(i, j)]
-        } else {
-            (0..m).map(|t| a[(t, j)]).sum()
-        }
-    });
-    let bb = Matrix::from_fn(k, n + 1, |i, j| {
-        if j < n {
-            b[(i, j)]
-        } else {
-            (0..n).map(|t| b[(i, t)]).sum()
-        }
-    });
-    (aa, bb)
-}
-
-/// The checksummed product `C' = A'·B'` computed through the arena
-/// recursion ([`multiply_into`]) at
-/// `cutoff` — the Huang–Abraham wrapper around the workhorse kernel. The
-/// result is `(m+1)×(n+1)`; [`inner_product`] crops the data block.
-pub fn abft_multiply(
-    scheme: &BilinearScheme,
-    a: &Matrix<f64>,
-    b: &Matrix<f64>,
-    cutoff: usize,
-    arena: &mut ScratchArena<f64>,
-) -> Matrix<f64> {
-    let (aa, bb) = augment_operands(a, b);
-    let mut c_aug = Matrix::zeros(a.rows() + 1, b.cols() + 1);
-    multiply_into(
-        scheme,
-        aa.view(),
-        bb.view(),
-        &mut c_aug.view_mut(),
-        cutoff,
-        arena,
-    );
-    c_aug
-}
-
-/// Crop the `m×n` data block out of an augmented product.
-pub fn inner_product(c_aug: &Matrix<f64>) -> Matrix<f64> {
-    let (m, n) = (c_aug.rows() - 1, c_aug.cols() - 1);
-    Matrix::from_fn(m, n, |i, j| c_aug[(i, j)])
-}
-
-/// What a checksum pass over an augmented product concluded.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ProductCheck {
-    /// All row and column relations hold within tolerance.
-    Clean,
-    /// Exactly one element was inconsistent; it was located at
-    /// `(row, col)` of the augmented matrix and the defect cancelled.
-    Corrected {
-        /// Row of the repaired element (may be the checksum row `m`).
-        row: usize,
-        /// Column of the repaired element (may be the checksum column `n`).
-        col: usize,
-    },
-    /// More than one relation failed — beyond single-fault ABFT.
-    Uncorrectable {
-        /// Rows whose sum relation failed.
-        bad_rows: usize,
-        /// Columns whose sum relation failed.
-        bad_cols: usize,
-    },
-}
-
-/// Per-row and per-column checksum defects of an augmented product:
-/// `defect_row[i] = Σ_{j<n} c[i][j] − c[i][n]` and symmetrically for
-/// columns. Every element of `C'` (checksums included) sits in exactly
-/// one row relation and one column relation, so a single fault anywhere
-/// perturbs exactly one of each by the same amount.
-fn product_defects(c_aug: &Matrix<f64>) -> (Vec<f64>, Vec<f64>) {
-    let (mm, nn) = (c_aug.rows(), c_aug.cols());
-    let (m, n) = (mm - 1, nn - 1);
-    let row_defect: Vec<f64> = (0..mm)
-        .map(|i| (0..n).map(|j| c_aug[(i, j)]).sum::<f64>() - c_aug[(i, n)])
-        .collect();
-    let col_defect: Vec<f64> = (0..nn)
-        .map(|j| (0..m).map(|i| c_aug[(i, j)]).sum::<f64>() - c_aug[(m, j)])
-        .collect();
-    (row_defect, col_defect)
-}
-
-/// A sensible absolute tolerance for the product relations: rounding in a
-/// length-`k` inner product plus the length-`n` checksum sums, scaled by
-/// the operand magnitudes. Faults worth detecting (bit flips in exponent
-/// or high mantissa bits) sit orders of magnitude above this.
-pub fn abft_tolerance(k: usize, n: usize, a_max: f64, b_max: f64) -> f64 {
-    let ops = (k * (n + 1)) as f64;
-    (ops * a_max * b_max).max(1.0) * 1e-12
-}
-
-/// Verify the row/column sum relations of an augmented product to `tol`.
-/// Read-only: reports [`ProductCheck::Corrected`] as what *would* be
-/// corrected; call [`correct_product`] to repair in place.
-pub fn verify_product(c_aug: &Matrix<f64>, tol: f64) -> ProductCheck {
-    classify(c_aug, tol).0
-}
-
-fn classify(c_aug: &Matrix<f64>, tol: f64) -> (ProductCheck, f64) {
-    let (row_defect, col_defect) = product_defects(c_aug);
-    let bad_rows: Vec<usize> = (0..row_defect.len())
-        .filter(|&i| row_defect[i].abs() > tol)
-        .collect();
-    let bad_cols: Vec<usize> = (0..col_defect.len())
-        .filter(|&j| col_defect[j].abs() > tol)
-        .collect();
-    match (bad_rows.as_slice(), bad_cols.as_slice()) {
-        ([], []) => (ProductCheck::Clean, 0.0),
-        (&[i], &[j]) => (ProductCheck::Corrected { row: i, col: j }, row_defect[i]),
-        (r, c) => (
-            ProductCheck::Uncorrectable {
-                bad_rows: r.len(),
-                bad_cols: c.len(),
-            },
-            0.0,
-        ),
-    }
-}
-
-/// Detect, locate, and correct a single faulty element of an augmented
-/// product in place: the defect of the one failing row is subtracted from
-/// the element at the failing row/column intersection, then the relations
-/// are re-verified. Returns what happened; on
-/// [`ProductCheck::Uncorrectable`] the matrix is left untouched.
-pub fn correct_product(c_aug: &mut Matrix<f64>, tol: f64) -> ProductCheck {
-    let (check, defect) = classify(c_aug, tol);
-    if let ProductCheck::Corrected { row, col } = check {
-        // `defect` is the failing row's `Σ data − checksum`: a fault of
-        // `+e` in the checksum column makes it `−e` (the element is
-        // subtracted in the relation), anywhere else `+e` (the element is
-        // part of the sum) — so the repair adds the defect in the checksum
-        // column and subtracts it everywhere else.
-        let n = c_aug.cols() - 1;
-        if col == n {
-            c_aug[(row, col)] += defect;
-        } else {
-            c_aug[(row, col)] -= defect;
-        }
-        if verify_product(c_aug, tol) != ProductCheck::Clean {
-            return ProductCheck::Uncorrectable {
-                bad_rows: 1,
-                bad_cols: 1,
-            };
-        }
-    }
-    check
-}
-
-/// Words moved by the arithmetic ABFT wrapping of an `m×k · k×n`
-/// multiply, in the `words_model` currency: read both operands to form
-/// the checksum row/column (`m·k + k·n`), write the `2k` checksum words,
-/// and stream the `(m+1)(n+1)` augmented product once to verify.
-pub fn abft_overhead_words(m: usize, k: usize, n: usize) -> u64 {
-    (m * k + k * n + 2 * k + (m + 1) * (n + 1)) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recursive::multiply_scheme;
-    use crate::scheme::strassen;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn sample(m: usize, k: usize, seed: u64) -> Matrix<f64> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Matrix::random(m, k, &mut rng)
-    }
 
     #[test]
     fn frame_grid_covers_all_lengths() {
@@ -443,66 +246,5 @@ mod tests {
         let mut frame = encode_frame(&[]);
         assert!(frame.is_empty());
         assert_eq!(decode_frame(&mut frame, 0), FrameOutcome::Clean);
-    }
-
-    #[test]
-    fn augmented_product_carries_its_own_sums() {
-        let s = strassen();
-        let a = sample(9, 7, 1);
-        let b = sample(7, 5, 2);
-        let mut arena = ScratchArena::new();
-        let c_aug = abft_multiply(&s, &a, &b, 2, &mut arena);
-        assert_eq!((c_aug.rows(), c_aug.cols()), (10, 6));
-        let tol = abft_tolerance(7, 5, 1.0, 1.0);
-        assert_eq!(verify_product(&c_aug, tol), ProductCheck::Clean);
-        // the data block multiplies correctly
-        let want = multiply_scheme(&s, &a, &b, 2);
-        assert!(inner_product(&c_aug).max_abs_diff(&want, |x| x) < 1e-9);
-    }
-
-    #[test]
-    fn injected_product_fault_is_located_and_cancelled() {
-        let s = strassen();
-        let a = sample(8, 8, 3);
-        let b = sample(8, 8, 4);
-        let mut arena = ScratchArena::new();
-        let clean = abft_multiply(&s, &a, &b, 2, &mut arena);
-        let tol = abft_tolerance(8, 8, 1.0, 1.0);
-        for (fi, fj) in [(0usize, 0usize), (3, 7), (8, 2), (5, 8), (8, 8)] {
-            let mut faulty = clean.clone();
-            faulty[(fi, fj)] += 64.0; // far above tol
-            let got = correct_product(&mut faulty, tol);
-            assert_eq!(
-                got,
-                ProductCheck::Corrected { row: fi, col: fj },
-                "fault at ({fi}, {fj})"
-            );
-            assert!(
-                faulty.max_abs_diff(&clean, |x| x) < 1e-7,
-                "fault at ({fi}, {fj}) not cancelled"
-            );
-        }
-    }
-
-    #[test]
-    fn multi_fault_product_is_refused() {
-        let s = strassen();
-        let a = sample(8, 8, 5);
-        let b = sample(8, 8, 6);
-        let mut arena = ScratchArena::new();
-        let mut c_aug = abft_multiply(&s, &a, &b, 2, &mut arena);
-        c_aug[(1, 1)] += 50.0;
-        c_aug[(2, 3)] += 50.0;
-        let tol = abft_tolerance(8, 8, 1.0, 1.0);
-        assert!(matches!(
-            correct_product(&mut c_aug, tol),
-            ProductCheck::Uncorrectable { .. }
-        ));
-    }
-
-    #[test]
-    fn overhead_words_model_is_monotone() {
-        assert!(abft_overhead_words(8, 8, 8) < abft_overhead_words(16, 16, 16));
-        assert_eq!(abft_overhead_words(2, 2, 2), 4 + 4 + 4 + 9);
     }
 }

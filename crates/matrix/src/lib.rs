@@ -29,9 +29,8 @@
 //! * [`tune`] — base-case cutoff selection (`FASTMM_CUTOFF`, calibration
 //!   micro-search);
 //! * [`abft`] — algorithm-based fault tolerance: exact XOR-parity frame
-//!   checksums for message payloads plus Huang–Abraham row/column checksum
-//!   augmentation around [`multiply_into`] (detect / locate / correct a
-//!   single corrupted entry per product).
+//!   checksums for message payloads (detect / locate / correct a single
+//!   corrupted word per frame).
 
 #![warn(missing_docs)]
 
