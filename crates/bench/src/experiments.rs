@@ -504,7 +504,7 @@ pub fn e10_parallel(n: usize, thread_counts: &[usize]) -> String {
     use fastmm_memsim::explicit::dfs_arena_io_recurrence_mkn;
     use std::time::Instant;
     let mut out = String::new();
-    out.push_str("E10 Parallel execution: CAPS-style BFS/DFS schedule on a work-stealing pool\n");
+    out.push_str("E10 Parallel execution: CAPS-style BFS/DFS schedule on one shared task stack\n");
     out.push_str("  speedup=T(1 thread)/T(p); plan = memory-aware BFS levels (arXiv:1202.3173)\n");
     out.push_str(
         "  scheme                n     p    bfs  tasks  peak_mem(w)  time(s)    speedup  eff%\n",

@@ -48,10 +48,9 @@ pub mod prelude {
         strong_scaling_limit_p, table1_closed_form, table1_lower_bound, MemoryRegime,
     };
     pub use crate::pipeline::{
-        dec_vertices, dist_exec_report, expansion_io_bound, fault_exec_report,
-        parallel_exec_report, rank_bound_report, seq_exec_report, serve_exec_report,
-        DistExecReport, ExpansionIoBound, FaultExecReport, ParallelExecReport, RankBoundReport,
-        SeqExecReport, ServeExecReport,
+        dec_vertices, dist_exec_report, expansion_io_bound, fault_exec_report, rank_bound_report,
+        seq_exec_report, serve_exec_report, DistExecReport, ExpansionIoBound, FaultExecReport,
+        RankBoundReport, SeqExecReport, ServeExecReport,
     };
     pub use crate::registry::{
         all_params, SchemeParams, CLASSICAL, CLASSICAL_2X2X3, LADERMAN, RECT_2X2X4, RECT_2X4X2,

@@ -15,7 +15,6 @@
 //!    Lemma 3.3).
 
 use crate::registry::SchemeParams;
-use fastmm_matrix::parallel::{BfsDfsPlan, ParallelConfig};
 use fastmm_matrix::scheme::BilinearScheme;
 
 /// Number of vertices of the layered `Dec_k C`:
@@ -67,51 +66,6 @@ pub fn expansion_io_bound(
         }
     }
     None
-}
-
-/// A parallel execution schedule tied back to the paper's bounds: the
-/// CAPS-style BFS/DFS plan the shared-memory engine will run, alongside
-/// the Section 1.1 bandwidth lower bounds the measured traffic should be
-/// compared against.
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelExecReport {
-    /// The memory-aware BFS/DFS schedule
-    /// ([`fastmm_matrix::parallel::plan_bfs_dfs`]).
-    pub plan: BfsDfsPlan,
-    /// Worker thread count the plan was sized for.
-    pub threads: usize,
-    /// The resolved memory budget in words (auto-budget expanded).
-    pub memory_words: usize,
-    /// Theorem 1.1/1.3 sequential bandwidth lower bound
-    /// `(n/√M)^{ω₀}·M` at `M = memory_words` — the total-traffic floor no
-    /// schedule of this CDAG can beat.
-    pub seq_bound_words: f64,
-    /// The per-thread share `seq_bound / p` — the Corollary 1.2-shaped
-    /// floor on the average words moved per worker.
-    pub per_thread_bound_words: f64,
-}
-
-/// Plan a shared-memory parallel run of `params` on an `n x n x n`
-/// problem and evaluate the Section 1.1 bounds at the plan's memory
-/// budget. The report is what experiment e10 (`repro_parallel`) prints
-/// next to measured speedups.
-pub fn parallel_exec_report(
-    params: SchemeParams,
-    n: usize,
-    cutoff: usize,
-    config: &ParallelConfig,
-) -> ParallelExecReport {
-    let plan = params.exec_plan((n, n, n), cutoff, config);
-    let memory_words = plan.budget_words; // planner-resolved (auto expanded)
-    let seq_bound = crate::bounds::seq_bandwidth_lower_bound(params, n, memory_words);
-    let threads = config.threads.max(1);
-    ParallelExecReport {
-        plan,
-        threads,
-        memory_words,
-        seq_bound_words: seq_bound,
-        per_thread_bound_words: seq_bound / threads as f64,
-    }
 }
 
 /// A distributed-memory execution report: one algorithm's *measured*
@@ -600,32 +554,5 @@ mod tests {
         assert!(rep.max_words_per_rank as f64 >= rep.mem_independent_bound_words);
         assert!(rep.ratio_to_binding_bound() >= 1.0);
         assert!(rep.critical_path_time > 0.0);
-    }
-
-    #[test]
-    fn parallel_report_splits_bound_across_threads() {
-        let cfg = ParallelConfig::new(8);
-        let rep = parallel_exec_report(STRASSEN, 1024, 64, &cfg);
-        assert_eq!(rep.threads, 8);
-        assert!(rep.plan.bfs_levels >= 1, "{:?}", rep.plan);
-        assert!(rep.seq_bound_words > 0.0);
-        assert!((rep.per_thread_bound_words * 8.0 - rep.seq_bound_words).abs() < 1e-9);
-        // abstract entries plan through the same machinery
-        let lad = crate::registry::LADERMAN.exec_plan((729, 729, 729), 27, &cfg);
-        assert!(lad.task_count >= 1);
-    }
-
-    #[test]
-    fn parallel_report_memory_budget_resolves_auto() {
-        let n = 256;
-        let auto = parallel_exec_report(STRASSEN, n, 32, &ParallelConfig::new(2));
-        assert_eq!(auto.memory_words, 3 * n * n * 8);
-        let fixed = parallel_exec_report(
-            STRASSEN,
-            n,
-            32,
-            &ParallelConfig::new(2).with_memory_budget(999),
-        );
-        assert_eq!(fixed.memory_words, 999);
     }
 }

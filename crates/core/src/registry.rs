@@ -167,6 +167,10 @@ mod tests {
         let deep = SchemeParams::of_scheme(&winograd_2x4x2());
         assert!(!deep.is_square());
         assert_eq!((deep.m, deep.k, deep.n, deep.r), (2, 4, 2, 14));
+        // abstract entries plan through the same machinery
+        let cfg = fastmm_matrix::parallel::ParallelConfig::new(8);
+        let lad = LADERMAN.exec_plan((729, 729, 729), 27, &cfg);
+        assert!(lad.task_count >= 1);
     }
 
     #[test]

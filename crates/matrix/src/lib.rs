@@ -23,9 +23,9 @@
 //!   ([`recursive::multiply_scheme`], the non-stationary hybrid) and exact
 //!   arithmetic operation counts realizing
 //!   `T(n) = m(n₀)·T(n/n₀) + O(n²) = Θ(n^{ω₀})`;
-//! * [`parallel`] — the shared-memory work-stealing engine with the
-//!   CAPS-style memory-aware BFS/DFS schedule, bit-identical to the
-//!   sequential engine at every thread count;
+//! * [`parallel`] — the shared-memory engine (one task stack shared by
+//!   every thread) with the CAPS-style memory-aware BFS/DFS schedule,
+//!   bit-identical to the sequential engine at every thread count;
 //! * [`tune`] — base-case cutoff selection (`FASTMM_CUTOFF`, calibration
 //!   micro-search);
 //! * [`abft`] — algorithm-based fault tolerance: exact XOR-parity frame

@@ -10,11 +10,12 @@
 //! cutoff is much larger than the old cache-blocked kernel's; this module
 //! provides the selection policy:
 //!
-//! * [`try_cutoff_from_env`] — the `FASTMM_CUTOFF`
-//!   environment override, validated by the crate's one env parser (the
-//!   one behind `FASTMM_THREADS` / `FASTMM_MEMORY_BUDGET`): non-numeric,
-//!   zero, or absurd values are rejected with an error naming the
-//!   variable, never silently defaulted;
+//! * [`try_cutoff_from_env`] — the `FASTMM_CUTOFF` environment override,
+//!   the one variable the crate reads, validated by its one env parser
+//!   (`parse_env_positive`, over a lookup closure so tests pass a map
+//!   instead of mutating the process environment): non-numeric, zero, or
+//!   absurd values are rejected with an error naming the variable, never
+//!   silently defaulted;
 //! * [`default_cutoff`] — env override or the compiled default
 //!   [`DEFAULT_CUTOFF`];
 //! * [`resolve_cutoff`] — an explicit caller value, else the default;
@@ -29,7 +30,6 @@
 
 use crate::arena::{multiply_into, ScratchArena};
 use crate::dense::Matrix;
-use crate::parallel::{parse_env_positive, process_env};
 use crate::scheme::BilinearScheme;
 
 /// Compiled default base-case side, sized against the packed micro-kernel
@@ -48,12 +48,46 @@ pub const MAX_ENV_CUTOFF: usize = 1 << 16;
 
 /// The `FASTMM_CUTOFF` environment override: `Ok(None)` when unset,
 /// `Ok(Some(v))` for `1 ..= `[`MAX_ENV_CUTOFF`], and an error naming the
-/// variable otherwise — same contract and shared parser as the
-/// `FASTMM_THREADS` / `FASTMM_MEMORY_BUDGET` validation. A malformed
-/// value can never silently select the compiled default, which would hide
-/// typos like `FASTMM_CUTOFF=64k` from every perf number.
+/// variable otherwise. A malformed value can never silently select the
+/// compiled default, which would hide typos like `FASTMM_CUTOFF=64k` from
+/// every perf number.
 pub fn try_cutoff_from_env() -> Result<Option<usize>, String> {
     cutoff_from_lookup(process_env)
+}
+
+/// The process environment as a variable lookup (unset and non-UTF-8
+/// values both read as `None`).
+fn process_env(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
+
+/// The crate's one environment parser: read the optional positive integer
+/// `name` through `lookup`. Returns `Ok(None)` when unset, `Ok(Some(v))`
+/// for `1 ..= max`, and an error naming the variable otherwise — so a
+/// malformed value can never silently select a default.
+fn parse_env_positive(
+    lookup: impl Fn(&str) -> Option<String>,
+    name: &str,
+    max: usize,
+) -> Result<Option<usize>, String> {
+    let Some(raw) = lookup(name) else {
+        return Ok(None);
+    };
+    let v = raw
+        .trim()
+        .parse::<usize>()
+        .map_err(|_| format!("{name}={raw:?} is not a positive integer (expected 1..={max})"))?;
+    if v == 0 {
+        return Err(format!(
+            "{name}=0 is invalid: unset the variable for the auto default (expected 1..={max})"
+        ));
+    }
+    if v > max {
+        return Err(format!(
+            "{name}={v} is absurdly large (expected 1..={max}); refusing to run with it"
+        ));
+    }
+    Ok(Some(v))
 }
 
 /// [`try_cutoff_from_env`] over an arbitrary variable lookup.
@@ -156,8 +190,19 @@ pub fn calibrate_cutoff(scheme: &BilinearScheme, probe_n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::fake_env;
     use crate::scheme::strassen;
+
+    /// A variable lookup over fixed `(name, value)` pairs — what tests pass
+    /// to [`parse_env_positive`] instead of mutating the process
+    /// environment.
+    fn fake_env<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| {
+            pairs
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| v.to_string())
+        }
+    }
 
     #[test]
     fn env_override_and_resolution() {
@@ -192,6 +237,19 @@ mod tests {
             Ok(Some(MAX_ENV_CUTOFF))
         );
         assert!(cutoff_from_lookup(fake_env(&[("FASTMM_CUTOFF", &past)])).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "FASTMM_DOC_EXAMPLE")]
+    fn parse_env_positive_error_names_the_variable() {
+        // parse_env_positive is the crate's one env parser; its error must
+        // carry the variable name.
+        let r = parse_env_positive(
+            fake_env(&[("FASTMM_DOC_EXAMPLE", "zero")]),
+            "FASTMM_DOC_EXAMPLE",
+            16,
+        );
+        panic!("{}", r.unwrap_err());
     }
 
     #[test]

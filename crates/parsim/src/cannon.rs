@@ -13,8 +13,8 @@
 //! > `= 2(q−1)·(n/q)² = 2(√p − 1)·n²/p`
 //!
 //! — an *exact* closed form ([`cannon_words_per_rank`]), not an
-//! asymptotic, asserted rank-by-rank in tests and by the `dist-smoke` CI
-//! job via e12.
+//! asymptotic, asserted rank-by-rank in tests and by e12 in the CI
+//! `smoke` job's `repro_all` run.
 //!
 //! ## Bitwise witness
 //!

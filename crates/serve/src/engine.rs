@@ -15,12 +15,12 @@
 //!
 //! ## Batched dispatch
 //!
-//! [`EngineHandle::submit`] takes a whole batch of [`Job`]s, groups them
-//! by [`ShapeClass`] (scheme + `M×K·K×N`), and round-robins the *groups*
-//! across worker shards, so jobs that share scratch shapes run
-//! back-to-back on one arena. Results stream back over the ticket's
-//! channel tagged with their submission index; [`BatchTicket::wait`]
-//! reassembles them in submission order.
+//! [`EngineHandle::submit`] takes a whole batch of [`Job`]s and deals
+//! them out in submission order, one job per work item, round-robin
+//! across the worker shards, so every batch spreads over the fleet and a
+//! straggler job never holds sibling jobs hostage behind it. Results
+//! stream back over the ticket's channel tagged with their submission
+//! index; [`BatchTicket::wait`] reassembles them in submission order.
 //!
 //! ## Backpressure
 //!
@@ -200,32 +200,6 @@ impl std::error::Error for JobError {}
 
 /// Per-job outcome: the product, or a typed error.
 pub type JobResult = Result<Matrix<f64>, JobError>;
-
-/// The dispatch unit: jobs sharing a scheme and operand shape run
-/// back-to-back on one worker's arena.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ShapeClass {
-    /// Scheme table index.
-    pub scheme: usize,
-    /// Product shape `M × K · K × N`.
-    pub m: usize,
-    /// Inner dimension.
-    pub k: usize,
-    /// Output columns.
-    pub n: usize,
-}
-
-impl ShapeClass {
-    /// The class of one job.
-    pub fn of(job: &Job) -> Self {
-        ShapeClass {
-            scheme: job.scheme,
-            m: job.a.rows(),
-            k: job.a.cols(),
-            n: job.b.cols(),
-        }
-    }
-}
 
 /// Outcome of [`EngineHandle::submit`]: the batch was queued, or the
 /// bounded queue was full and the caller must shed load or retry.
@@ -462,8 +436,8 @@ impl EngineHandle {
 
     /// Submit a batch. Jobs are validated (in-range scheme index,
     /// conformal dimensions — violations panic, as with
-    /// `multiply_scheme`), grouped by [`ShapeClass`], and dispatched
-    /// across the shards; the whole batch is either accepted or rejected
+    /// `multiply_scheme`) and dealt round-robin across the shards in
+    /// submission order; the whole batch is either accepted or rejected
     /// atomically against the queue bound.
     pub fn submit(&self, jobs: Vec<Job>) -> Submit {
         self.submit_inner(jobs, None)
@@ -498,41 +472,23 @@ impl EngineHandle {
             return Submit::Rejected { queue_depth: depth };
         }
         let (tx, rx) = channel();
-        // Group by shape class, preserving first-seen class order so
-        // dispatch (and hence per-class worker assignment) is a pure
-        // function of the batch contents.
-        let mut groups: Vec<(ShapeClass, Vec<(usize, Job)>)> = Vec::new();
-        for (slot, job) in jobs.into_iter().enumerate() {
-            let class = ShapeClass::of(&job);
-            match groups.iter_mut().find(|(c, _)| *c == class) {
-                Some((_, group)) => group.push((slot, job)),
-                None => groups.push((class, vec![(slot, job)])),
-            }
-        }
-        // Each class group is dealt out one job per work item, round-robin
-        // across the shards: a homogeneous batch (one big shape class)
-        // spreads over every shard instead of serializing behind one
-        // worker, and a straggler job never holds sibling jobs hostage
-        // behind it in the same item.
         let shards = self.senders.len();
-        for (_, group) in groups {
-            for (slot, job) in group {
-                let w = self.next_worker.fetch_add(1, Ordering::Relaxed) % shards;
-                let unit = WorkUnit {
-                    slot,
-                    attempts: 0,
-                    job,
-                    results: tx.clone(),
-                };
-                if let Err(failed) = self.senders[w].send(unit) {
-                    // The shard's supervisor is gone (it exits only when
-                    // its channel disconnects, so this means teardown or a
-                    // supervisor death): resolve the job instead of
-                    // panicking or leaking queue capacity.
-                    let unit = failed.0;
-                    self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    let _ = unit.results.send((unit.slot, Err(JobError::ShardLost)));
-                }
+        for (slot, job) in jobs.into_iter().enumerate() {
+            let w = self.next_worker.fetch_add(1, Ordering::Relaxed) % shards;
+            let unit = WorkUnit {
+                slot,
+                attempts: 0,
+                job,
+                results: tx.clone(),
+            };
+            if let Err(failed) = self.senders[w].send(unit) {
+                // The shard's supervisor is gone (it exits only when its
+                // channel disconnects, so this means teardown or a
+                // supervisor death): resolve the job instead of panicking
+                // or leaking queue capacity.
+                let unit = failed.0;
+                self.in_flight.fetch_sub(1, Ordering::SeqCst);
+                let _ = unit.results.send((unit.slot, Err(JobError::ShardLost)));
             }
         }
         Submit::Accepted(BatchTicket {

@@ -41,7 +41,7 @@ pub mod engine;
 pub mod ser;
 
 pub use engine::{
-    BatchTicket, EngineConfig, EngineHandle, Job, JobError, JobResult, ShapeClass, Submit,
+    BatchTicket, EngineConfig, EngineHandle, Job, JobError, JobResult, Submit,
     DEFAULT_MAX_JOB_RETRIES,
 };
 pub use ser::{

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A mixed-shape batch touching every registry scheme: exactly the
-/// workload the size-bucketed arena and shape-class grouping exist for.
+/// workload the size-bucketed arena exists for.
 fn mixed_batch(rng: &mut StdRng) -> Vec<Job> {
     let schemes = all_schemes();
     let mut jobs = Vec::new();
