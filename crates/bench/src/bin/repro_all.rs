@@ -1,4 +1,4 @@
-//! Run every experiment in sequence (EXPERIMENTS.md snapshot source), at
+//! Run every experiment in sequence (the index is in `docs/ATLAS.md`), at
 //! sizes that also make it the release-mode smoke pass, then write every
 //! artifact under `target/`: e5's DOT drawings and
 //! `BENCH_{seq,dist,serve,faults,graph}.json`.

@@ -1288,15 +1288,15 @@ pub fn e13_serve(
 ///   `injected` provenance (never a hang), the row records the report.
 ///
 /// A final section drives the serve engine's supervision the same way:
-/// a worker whose job panics is respawned with a fresh arena, a
+/// a job that panics is retried in place on a fresh arena, a
 /// transiently-failing job retries to a bitwise-exact product, and an
 /// always-failing job surfaces `WorkerPanicked` — the ticket resolving
 /// every slot either way.
 ///
 /// Returns the report and its `BENCH_faults.json` rows.
 pub fn e14_faults(ps: &[usize], n: usize) -> (String, Vec<String>) {
-    use fastmm_parsim::exec::{try_dist_multiply, DistConfig, Recovery, TAG_DOWN};
-    use fastmm_parsim::{FaultPlan, InjectedKind};
+    use fastmm_parsim::exec::{try_dist_multiply, DistConfig, TAG_DOWN};
+    use fastmm_parsim::{FaultPlan, InjectedKind, Recovery};
 
     let scheme = strassen();
     let cutoff = 2usize;
@@ -1486,7 +1486,7 @@ pub fn e14_faults(ps: &[usize], n: usize) -> (String, Vec<String>) {
                 Ok(c) => {
                     assert!(
                         c.bits_eq(&want),
-                        "e14 serve job {i}: respawned-shard product must be bitwise"
+                        "e14 serve job {i}: retried product must be bitwise"
                     );
                     ("ok", "true")
                 }

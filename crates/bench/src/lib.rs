@@ -1,11 +1,10 @@
 //! # fastmm-bench — experiment harness regenerating every table and figure
 //!
-//! One module per experiment family (see DESIGN.md §4 for the experiment
+//! One module per experiment family (`docs/ATLAS.md` holds the experiment
 //! index). Each produces plain-text tables comparing *paper formula* vs
-//! *measured* quantities; the `repro_*` binaries print them, and
-//! EXPERIMENTS.md records a snapshot. Shapes (who wins, scaling ratios,
-//! crossovers) are the reproduction target — absolute constants depend on
-//! the simulated machine.
+//! *measured* quantities; the `repro_*` binaries print them. Shapes (who
+//! wins, scaling ratios, crossovers) are the reproduction target —
+//! absolute constants depend on the simulated machine.
 //!
 //! Experiments never touch the file system: the ones with a
 //! machine-readable side return its JSON rows next to the report, and the

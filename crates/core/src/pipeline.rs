@@ -405,8 +405,8 @@ mod tests {
     #[test]
     fn fault_report_prices_recovery_against_the_floor() {
         use fastmm_matrix::dense::Matrix;
-        use fastmm_parsim::exec::{try_dist_multiply, DistConfig, Recovery, TAG_DOWN};
-        use fastmm_parsim::FaultPlan;
+        use fastmm_parsim::exec::{try_dist_multiply, DistConfig, TAG_DOWN};
+        use fastmm_parsim::{FaultPlan, Recovery};
         let scheme = fastmm_matrix::scheme::strassen();
         let a = Matrix::from_fn(16, 16, |i, j| (i * 16 + j) as f64 * 0.25 - 20.0);
         let b = Matrix::from_fn(16, 16, |i, j| (j * 16 + i) as f64 * 0.125 - 10.0);

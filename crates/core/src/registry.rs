@@ -3,7 +3,7 @@
 //! Theorem 1.3 needs only the shape `⟨m,k,n⟩` and multiplication count `r`
 //! of a Strassen-like base case, not its coefficients, so abstract entries
 //! (e.g. Laderman's `⟨3; 23⟩`, whose coefficient triple we deliberately do
-//! not ship — see DESIGN.md) coexist with the executable schemes of
+//! not ship) coexist with the executable schemes of
 //! `fastmm-matrix`. Rectangular entries follow arXiv:1209.2184: their
 //! exponent is `ω₀ = 3·log_{mkn} r`, which reduces to `log_{n₀} r` in the
 //! square case.

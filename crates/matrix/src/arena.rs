@@ -47,9 +47,9 @@
 //! blocks in ascending `q`, products run in order `l = 0, 1, …, r-1`,
 //! decode accumulates `W`-column nonzeros in ascending `q`, and the base
 //! case is the packed micro-kernel [`multiply_packed_into`], whose default
-//! build is bit-identical to `multiply_ikj` (see the [`crate::pack`]
+//! build is bit-identical to `multiply_naive` (see the [`crate::pack`]
 //! contract). Outputs are therefore bit-identical to a plain copy-out
-//! recursion over `multiply_ikj` at every cutoff and thread count — the
+//! recursion over `multiply_naive` at every cutoff and thread count — the
 //! determinism suite (`crates/matrix/tests/determinism.rs`) keeps such a
 //! recursion as its test oracle and enforces this.
 //!

@@ -16,7 +16,7 @@
 //!   every parallel DFS leaf, with its pieces shared by the non-stationary
 //!   and distributed engines;
 //! * [`pack`] — the BLIS-style packed micro-kernel (runtime SIMD
-//!   dispatch, bit-identical to `multiply_ikj` in the default build): the
+//!   dispatch, bit-identical to `multiply_naive` in the default build): the
 //!   one base case, shared by every engine through
 //!   [`arena::multiply_into`];
 //! * [`recursive`] — the recursive Strassen-like entry points
@@ -27,14 +27,10 @@
 //!   every thread) with the CAPS-style memory-aware BFS/DFS schedule,
 //!   bit-identical to the sequential engine at every thread count;
 //! * [`tune`] — base-case cutoff selection (`FASTMM_CUTOFF`, calibration
-//!   micro-search);
-//! * [`abft`] — algorithm-based fault tolerance: exact XOR-parity frame
-//!   checksums for message payloads (detect / locate / correct a single
-//!   corrupted word per frame).
+//!   micro-search).
 
 #![warn(missing_docs)]
 
-pub mod abft;
 pub mod arena;
 pub mod classical;
 pub mod dense;
@@ -45,7 +41,6 @@ pub mod scalar;
 pub mod scheme;
 pub mod tune;
 
-pub use abft::{decode_frame, encode_frame, frame_checksum_words, FrameOutcome};
 pub use arena::{multiply_into, ScratchArena};
 pub use dense::{MatMut, MatRef, Matrix};
 pub use pack::{active_simd_level, multiply_packed_into, multiply_packed_into_scalar};

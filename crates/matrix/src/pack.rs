@@ -38,7 +38,7 @@
 //! ## Bit-determinism contract
 //!
 //! Per output element the floating-point operations are **exactly** those
-//! of [`multiply_ikj`](crate::classical::multiply_ikj): the element is
+//! of [`multiply_naive`](crate::classical::multiply_naive): the element is
 //! loaded from `C`, products are accumulated in ascending `k`, and the
 //! result is stored. The `KC` blocking stores and reloads `C` between
 //! `k`-blocks, which splits the chain of additions across iterations but
@@ -46,9 +46,9 @@
 //! only permutes *which* output element is processed when, and dot
 //! products of distinct output elements are independent. Starting from any
 //! `C`, the default build is therefore bit-identical to
-//! [`multiply_kernel_into`] (and, from a zeroed `C`, to `multiply_ikj`)
+//! [`multiply_kernel_into`] (and, from a zeroed `C`, to `multiply_naive`)
 //! for every [`Scalar`] — which is what lets the determinism suite pin
-//! every engine bitwise against a copy-out recursion over `multiply_ikj`.
+//! every engine bitwise against a copy-out recursion over `multiply_naive`.
 //!
 //! Fused leaves keep these bits. A fold row is computed from zero in
 //! ascending `q` — the first term as `0 ⊕ c·X` with
@@ -72,7 +72,7 @@
 //! [`Scalar::mul_add`] with a hardware fused multiply-add: roughly 2-3x
 //! more throughput on FMA hardware and *more* accurate (one rounding per
 //! update instead of two), but a different well-defined result — so the
-//! witnesses against the unfused `multiply_ikj` are feature-gated off
+//! witnesses against the unfused `multiply_naive` are feature-gated off
 //! while the packed-SIMD-vs-packed-portable and engine-vs-engine
 //! witnesses remain (fused ops are exactly rounded too, so dispatch still
 //! cannot change bits).
@@ -569,8 +569,6 @@ pub(crate) fn multiply_fold_into<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(not(feature = "fma"))]
-    use crate::classical::multiply_ikj;
     use crate::classical::multiply_naive;
     use crate::dense::Matrix;
     use crate::scalar::Fp;
@@ -627,8 +625,8 @@ mod tests {
             let a = Matrix::<f64>::random(m, k, &mut rng);
             let b = Matrix::<f64>::random(k, n, &mut rng);
             assert!(
-                packed(&a, &b).bits_eq(&multiply_ikj(&a, &b)),
-                "{m}x{k}x{n}: packed f64 bits differ from ikj"
+                packed(&a, &b).bits_eq(&multiply_naive(&a, &b)),
+                "{m}x{k}x{n}: packed f64 bits differ from multiply_naive"
             );
         }
     }

@@ -18,7 +18,7 @@
 //! the traffic model `dfs_arena_io_recurrence_mkn` (crate `fastmm-memsim`)
 //! models it. It is the only sequential engine; the determinism suite
 //! pins it bitwise against a test-only copy-out recursion over
-//! `multiply_ikj`.
+//! `multiply_naive`.
 //!
 //! Dimensions that stop dividing mid-recursion are zero-padded *per level*
 //! up to the next block-grid multiple, recursed on, and cropped — so a
@@ -159,7 +159,8 @@ pub fn scheme_op_count(scheme: &BilinearScheme, n: usize, cutoff: usize) -> OpCo
 
 /// Arithmetic count of running `scheme` recursively on `M x K` by `K x N`
 /// inputs down to `cutoff`, using the SLP addition counts (so Winograd's 15
-/// vs Strassen's 18 shows up), with a classical `MN(2K-1)`-flop base case.
+/// vs Strassen's 18 shows up), with a classical `MN(2K-1)`-flop base case
+/// (no flops at all when `K = 0`).
 ///
 /// Mirrors the CDAG tracer's fall-back-on-non-divisible contract (the
 /// hybrid the paper analyzes), **not** [`multiply_scheme`]'s pad-per-level
@@ -181,7 +182,7 @@ pub fn scheme_op_count_mkn(
         let (mm, kk, nn) = (mm as u128, kk as u128, nn as u128);
         return OpCount {
             mults: mm * kk * nn,
-            adds: mm * nn * (kk - 1),
+            adds: mm * nn * kk.saturating_sub(1),
         };
     }
     let blk_a = (mm / bm) as u128 * (kk / bk) as u128;
@@ -204,7 +205,7 @@ pub fn scheme_op_count_mkn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classical::{multiply_ikj, multiply_naive};
+    use crate::classical::multiply_naive;
     use crate::scheme::{
         all_schemes, classical_rect, classical_scheme, strassen, strassen_2x2x4, winograd,
         winograd_2x4x2,
@@ -313,7 +314,7 @@ mod tests {
         // classical kernel's on generic inputs. A non-divisible size must be
         // bit-identical to the manually padded-and-cropped *fast* run (that
         // is literally what multiply_into executes) and must NOT be
-        // bit-identical to multiply_ikj — which is exactly what it would be
+        // bit-identical to multiply_naive — which is exactly what it would be
         // if the engine regressed to the old silent classical fallback.
         let s = strassen();
         let mut rng = StdRng::seed_from_u64(29);
@@ -343,7 +344,7 @@ mod tests {
             );
             assert_ne!(
                 engine,
-                multiply_ikj(&a, &b),
+                multiply_naive(&a, &b),
                 "{mm}x{kk}x{nn}: bit-identical to the cubic kernel ⇒ silent fallback regressed"
             );
         }

@@ -48,7 +48,7 @@ pub trait Scalar: Copy + Clone + PartialEq + Debug + Send + Sync + 'static {
     /// `self * a + b` — the accumulation step of the packed micro-kernel
     /// ([`crate::pack`]). The default is the unfused `b + self·a` (one
     /// rounding per operation over floats), which keeps the packed kernel
-    /// bit-identical to the historical `multiply_ikj` ordering. The floats
+    /// bit-identical to `multiply_naive`'s ordering. The floats
     /// override this with a hardware fused multiply-add **only** under the
     /// `fma` cargo feature (single rounding — faster and more accurate,
     /// but a *different* well-defined result, so the cross-engine bitwise

@@ -8,7 +8,7 @@
 //!   force every BFS/DFS split the planner can choose;
 //! * the arena-backed sequential engine (`multiply_scheme`) vs
 //!   [`copy_out_oracle`], a test-only copy-out recursion over
-//!   `multiply_ikj`, across cutoffs `{1, 8, 64}` — so any reassociation
+//!   `multiply_naive`, across cutoffs `{1, 8, 64}` — so any reassociation
 //!   introduced into the fused encode/decode kernels or the row-wise pad
 //!   path fails bitwise;
 //! * the same two witnesses on zero-heavy operands (`-0.0` entries, zero
@@ -20,7 +20,7 @@
 //!   of levels;
 //! * the packed micro-kernel (`pack::multiply_packed_into`, the base case
 //!   every engine shares) vs its forced-portable scalar fallback and vs
-//!   `multiply_ikj`, across `all_schemes()` × {`f64` bit-pattern, `f32`,
+//!   `multiply_naive`, across `all_schemes()` × {`f64` bit-pattern, `f32`,
 //!   `F_p`} × non-divisible shapes — both at the kernel level (the shapes
 //!   the engines hand the base case) and through the full engine at
 //!   cutoffs `{1, 8, 64}`.
@@ -30,14 +30,14 @@
 //! caring which engine or how many workers ran.
 //!
 //! Witnesses that compare the packed (fusable) path against the unfused
-//! `multiply_ikj` (directly or through the oracle) are gated on
+//! `multiply_naive` (directly or through the oracle) are gated on
 //! `not(feature = "fma")`: the opt-in fused multiply-add is a different
 //! well-defined result. The dispatch-vs-portable and engine-vs-engine
 //! witnesses stay on under the feature — every engine shares the packed
 //! base case, and SIMD selection must never change bits, fused or not.
 
 use fastmm_matrix::arena::ScratchArena;
-use fastmm_matrix::classical::multiply_ikj;
+use fastmm_matrix::classical::multiply_naive;
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::pack::{multiply_packed_into, multiply_packed_into_scalar};
 use fastmm_matrix::parallel::{multiply_scheme_parallel, ParallelConfig};
@@ -120,7 +120,7 @@ fn every_scheme_is_deterministic_over_fp() {
 /// The test oracle for the sequential engine: a plain copy-out recursion
 /// in which every block is copied out with `to_matrix()`, every node
 /// heap-allocates its encoded operands and product, a non-divisible level
-/// pads element by element, and the base case is `multiply_ikj`. It
+/// pads element by element, and the base case is `multiply_naive`. It
 /// derives pad and split from the block grid itself rather than calling
 /// `arena::splits`, so it checks the engine's recursion shape too.
 fn copy_out_oracle<T: Scalar>(
@@ -138,7 +138,7 @@ fn copy_out_oracle<T: Scalar>(
     );
     // Stop at the cutoff, or when one level would not shrink the problem.
     if mm.max(kk).max(nn) <= cutoff || (pm / bm) * (pk / bk) * (pn / bn) >= mm * kk * nn {
-        return multiply_ikj(a, b);
+        return multiply_naive(a, b);
     }
     if (pm, pk, pn) != (mm, kk, nn) {
         let pad = |m: &Matrix<T>, rows: usize, cols: usize| {
@@ -334,7 +334,7 @@ fn packed_pair<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> (Matrix<T>, Matrix<T>
 fn packed_kernel_witnesses_f64_bits() {
     // Kernel-level: on every scheme's divisible and non-divisible shapes
     // (the shapes the engines hand the base case), the dispatched packed
-    // kernel, its portable fallback, and multiply_ikj agree to the bit.
+    // kernel, its portable fallback, and multiply_naive agree to the bit.
     for (i, scheme) in all_schemes().iter().enumerate() {
         for (j, &(mm, kk, nn)) in shapes_for(scheme).iter().enumerate() {
             let mut rng = StdRng::seed_from_u64((9000 + i * 100 + j) as u64);
@@ -348,8 +348,8 @@ fn packed_kernel_witnesses_f64_bits() {
             );
             #[cfg(not(feature = "fma"))]
             assert!(
-                dispatched.bits_eq(&multiply_ikj(&a, &b)),
-                "{} {mm}x{kk}x{nn}: packed f64 bits differ from ikj",
+                dispatched.bits_eq(&multiply_naive(&a, &b)),
+                "{} {mm}x{kk}x{nn}: packed f64 bits differ from multiply_naive",
                 scheme.name
             );
         }
@@ -371,8 +371,8 @@ fn packed_kernel_witnesses_f32_bits() {
             );
             #[cfg(not(feature = "fma"))]
             assert!(
-                dispatched.bits_eq(&multiply_ikj(&a, &b)),
-                "{} {mm}x{kk}x{nn}: packed f32 bits differ from ikj",
+                dispatched.bits_eq(&multiply_naive(&a, &b)),
+                "{} {mm}x{kk}x{nn}: packed f32 bits differ from multiply_naive",
                 scheme.name
             );
         }
@@ -381,7 +381,7 @@ fn packed_kernel_witnesses_f32_bits() {
 
 #[test]
 fn packed_kernel_witnesses_fp() {
-    // Exact field: packed, portable, and ikj must agree identically, fma
+    // Exact field: packed, portable, and multiply_naive must agree identically, fma
     // or not (Fp never fuses — its mul_add is the trait default).
     for (i, scheme) in all_schemes().iter().enumerate() {
         for (j, &(mm, kk, nn)) in shapes_for(scheme).iter().enumerate() {
@@ -396,8 +396,8 @@ fn packed_kernel_witnesses_fp() {
             );
             assert_eq!(
                 dispatched,
-                multiply_ikj(&a, &b),
-                "{} {mm}x{kk}x{nn}: packed F_p differs from ikj",
+                multiply_naive(&a, &b),
+                "{} {mm}x{kk}x{nn}: packed F_p differs from multiply_naive",
                 scheme.name
             );
         }
@@ -409,7 +409,7 @@ fn packed_kernel_witnesses_fp() {
 fn packed_engine_matches_legacy_over_f32_bits() {
     // Engine-level f32 leg of the packed-kernel witness matrix: the full
     // recursion with the packed base case vs the copy-out oracle
-    // (multiply_ikj base case), across the same cutoffs as the f64 branch.
+    // (multiply_naive base case), across the same cutoffs as the f64 branch.
     for (i, scheme) in all_schemes().iter().enumerate() {
         for (j, &(mm, kk, nn)) in shapes_for(scheme).iter().enumerate() {
             let mut rng = StdRng::seed_from_u64((15000 + i * 100 + j) as u64);

@@ -18,7 +18,7 @@
 //! counts every word moved.
 
 use crate::machine::{IoStats, TwoLevelMachine};
-use fastmm_matrix::classical::{multiply_ikj, multiply_naive};
+use fastmm_matrix::classical::multiply_naive;
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::scalar::Scalar;
 use fastmm_matrix::scheme::BilinearScheme;
@@ -120,7 +120,7 @@ fn dfs_rec<T: Scalar>(
         machine.load(wa); // A
         machine.load(wb); // B
         machine.alloc(wc); // C accumulator materializes in fast memory
-        let c = multiply_ikj(a, b);
+        let c = multiply_naive(a, b);
         machine.free(wa + wb);
         machine.store(wc); // C back to slow memory
         return c;

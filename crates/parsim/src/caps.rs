@@ -62,10 +62,18 @@
 //! `tests/caps_heap.rs` asserts with a counting allocator at p = 49 and
 //! 343. At p = 2401, n = 784 the run peaks at 127.7 MiB of live heap
 //! against the model's 131.9 MiB.
+//!
+//! ## Recovery
+//!
+//! Shuffle frames go through the crate's frame module with no control
+//! tag: checksummed under [`Recovery::Detect`] and [`Recovery::Abft`],
+//! a single corrupted word is corrected in place under `Abft`, and any
+//! other corruption aborts the run. The BFS shuffle is a symmetric
+//! all-to-all within residual classes, so a re-request would deadlock:
+//! each side would block on the other's acknowledgement.
 
-use crate::exec::Recovery;
+use crate::frame::{self, Recovery};
 use crate::machine::{try_run_spmd, MachineConfig, Rank, RankFailed, SpmdResult};
-use fastmm_matrix::abft::{decode_frame, encode_frame, FrameOutcome};
 use fastmm_matrix::arena::{multiply_flat, ScratchArena};
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::recursive::scheme_op_count;
@@ -321,58 +329,6 @@ struct CapsCtx<'a> {
     recovery: Recovery,
 }
 
-/// Checksummed send for the CAPS exchange: frames carry XOR-parity
-/// checksums when `recovery` is not [`Recovery::None`].
-fn send_checked(rank: &mut Rank, recovery: Recovery, to: usize, tag: u64, data: Vec<f64>) {
-    match recovery {
-        Recovery::None => rank.send(to, tag, data),
-        _ => rank.send(to, tag, encode_frame(&data)),
-    }
-}
-
-/// Checksummed receive for the CAPS exchange. The BFS shuffle is a
-/// symmetric all-to-all within residual classes, so — unlike the generic
-/// engine's leader protocol — there is no re-request path (an ACK/RETRY
-/// exchange would deadlock: each side would block on the other's
-/// acknowledgement). [`Recovery::Detect`] aborts on any corruption;
-/// [`Recovery::Abft`] corrects a single corrupted word locally and aborts
-/// only when the frame is uncorrectable.
-fn recv_checked(
-    rank: &mut Rank,
-    recovery: Recovery,
-    from: usize,
-    tag: u64,
-    payload_len: usize,
-) -> Vec<f64> {
-    match recovery {
-        Recovery::None => rank.recv(from, tag),
-        Recovery::Detect => {
-            let mut frame = rank.recv(from, tag);
-            match decode_frame(&mut frame, payload_len) {
-                FrameOutcome::Clean => frame,
-                outcome => rank.abort_corruption(format!(
-                    "corrupted frame tag {tag} from rank {from} ({outcome:?}) in verify-only mode"
-                )),
-            }
-        }
-        Recovery::Abft => {
-            let mut frame = rank.recv(from, tag);
-            let outcome = decode_frame(&mut frame, payload_len);
-            if outcome.recovered() {
-                if !matches!(outcome, FrameOutcome::Clean) {
-                    rank.note_frame_corrected();
-                }
-                frame
-            } else {
-                rank.abort_corruption(format!(
-                    "uncorrectable frame tag {tag} from rank {from} ({outcome:?}); \
-                     the CAPS shuffle has no re-request path"
-                ))
-            }
-        }
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn caps_node(
     ctx: &CapsCtx<'_>,
@@ -452,7 +408,7 @@ fn caps_node(
                 if tgt == me {
                     self_piece = Some(piece);
                 } else {
-                    send_checked(rank, ctx.recovery, group[tgt], tag_down, piece);
+                    frame::send(rank, ctx.recovery, group[tgt], tag_down, piece);
                 }
             }
             rank.track_free(2 * a.len()); // a, b fully encoded and sent
@@ -469,7 +425,7 @@ fn caps_node(
                 let piece = if src == me {
                     self_piece.take().expect("self piece present")
                 } else {
-                    recv_checked(rank, ctx.recovery, group[src], tag_down, 2 * qlen)
+                    frame::recv(rank, ctx.recovery, group[src], tag_down, None, 2 * qlen)
                 };
                 let (pa, pb) = piece.split_at(qlen);
                 for path in 0..n_paths {
@@ -505,7 +461,7 @@ fn caps_node(
                 if tgt == me {
                     self_return = Some(piece);
                 } else {
-                    send_checked(rank, ctx.recovery, group[tgt], tag_up, piece);
+                    frame::send(rank, ctx.recovery, group[tgt], tag_up, piece);
                 }
             }
             rank.track_free(r * qlen); // c_sub scattered back
@@ -521,7 +477,7 @@ fn caps_node(
                 let ml: Vec<f64> = if src == me {
                     self_return.take().expect("self return present")
                 } else {
-                    recv_checked(rank, ctx.recovery, group[src], tag_up, qlen)
+                    frame::recv(rank, ctx.recovery, group[src], tag_up, None, qlen)
                 };
                 for q in 0..4 {
                     let w = ctx.scheme.w.get(q, l);
@@ -566,9 +522,9 @@ pub fn caps_scheme(
 
 /// [`caps_scheme`] with a [`Recovery`] mode and rank failure as a value:
 /// exchange frames carry XOR-parity checksums when `recovery` is not
-/// [`Recovery::None`] (see [`crate::exec::try_dist_caps`] for the CAPS
-/// recovery semantics), and a dead rank returns [`RankFailed`] — with any
-/// injected-fault provenance — instead of panicking.
+/// [`Recovery::None`] (see the module docs' *Recovery*), and a dead rank
+/// returns [`RankFailed`] — with any injected-fault provenance — instead
+/// of panicking.
 pub fn try_caps_scheme(
     cfg: MachineConfig,
     scheme: &BilinearScheme,

@@ -46,11 +46,18 @@
 //! parallelization without the CAPS data layout). That is the point: e12
 //! prints it next to CAPS and Cannon against the two lower bounds of
 //! Corollary 1.2 and arXiv:1202.3177, and the gap *is* the paper's story.
+//!
+//! Every operand (`TAG_DOWN`) and product (`TAG_UP`) frame goes through
+//! the crate's frame module under [`DistConfig::recovery`], with a
+//! `TAG_CTL` control tag, so under [`Recovery::Abft`] an uncorrectable
+//! frame is re-requested. An operand's sender awaits its ACK at once; a
+//! product's sender only after its last child, in ascending `l` (the
+//! comments in the exchange say why neither order can deadlock).
 
 use crate::caps::{try_caps_scheme, CapsPlan};
 use crate::fault::FaultPlan;
+use crate::frame::{self, Recovery};
 use crate::machine::{try_run_spmd, MachineConfig, Rank, RankFailed, Runtime, SpmdResult};
-use fastmm_matrix::abft::{decode_frame, encode_frame, FrameOutcome};
 use fastmm_matrix::arena::{
     child_shape, decode_product_into, encode_a_into, encode_b_into, multiply_flat, padded, splits,
     ScratchArena,
@@ -59,27 +66,6 @@ use fastmm_matrix::dense::{MatMut, MatRef, Matrix};
 use fastmm_matrix::recursive::scheme_op_count_mkn;
 use fastmm_matrix::scheme::BilinearScheme;
 use std::collections::VecDeque;
-
-/// How the distributed engines defend message payloads against
-/// corruption (see [`FaultPlan`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Recovery {
-    /// No checksums: corrupted payloads flow through silently. The
-    /// baseline the overhead of the other modes is measured against.
-    #[default]
-    None,
-    /// XOR-parity checksums appended to every exchange frame, verify-only:
-    /// *any* detected corruption aborts the run loudly (an injected
-    /// failure with `corruption-detected` provenance) instead of
-    /// producing a silently wrong product. No control traffic.
-    Detect,
-    /// Full ABFT recovery: a single corrupted word per frame is located
-    /// and corrected bit-exactly at the receiver; uncorrectable frames
-    /// are re-requested from the sender (bounded retries, deterministic
-    /// virtual-time backoff) in the generic engine. The recovered gather
-    /// stays bitwise identical to `multiply_scheme`.
-    Abft,
-}
 
 /// A distributed run failed: either no valid plan existed, or a rank died
 /// (organically or by an injected fault).
@@ -198,7 +184,7 @@ pub fn caps_plan_for_budget(
     n: usize,
 ) -> Result<CapsPlan, String> {
     let mut last_err = String::new();
-    for dfs in 0..=n.ilog2() as usize {
+    for dfs in 0..=n.checked_ilog2().unwrap_or(0) as usize {
         match CapsPlan::for_scheme(scheme, cfg.p, n, dfs) {
             Ok(plan) => {
                 if cfg.memory_budget == 0
@@ -243,10 +229,9 @@ pub fn dist_caps(
 /// [`dist_caps`] with *both* failure modes as values: a planning error or
 /// a [`RankFailed`] (with injected-fault provenance) instead of a panic.
 /// CAPS recovery is checksummed frames with local single-word correction
-/// only — its BFS exchange is a symmetric all-to-all within classes, so
-/// an ACK/RETRY re-request protocol would deadlock (each side would block
-/// on the other's acknowledgement); uncorrectable corruption fails loudly
-/// under both [`Recovery::Detect`] and [`Recovery::Abft`].
+/// only (see the [`caps`](mod@crate::caps) module docs): uncorrectable
+/// corruption fails loudly under both [`Recovery::Detect`] and
+/// [`Recovery::Abft`].
 pub fn try_dist_caps(
     cfg: &DistConfig,
     scheme: &BilinearScheme,
@@ -271,137 +256,6 @@ pub const TAG_BAR: u64 = 3 << 32;
 pub const TAG_CTL: u64 = 4 << 32;
 /// Tag stride per recursion depth; must exceed any scheme rank.
 pub const DEPTH_STRIDE: u64 = 4096;
-
-/// Bounded retries per frame under [`Recovery::Abft`]: an uncorrectable
-/// frame is re-requested at most this many times before the receiver
-/// aborts the run.
-pub const MAX_FRAME_RETRIES: u32 = 3;
-
-/// ACK control word (sent duplicated: `[1.0, 1.0]`).
-const CTL_ACK: f64 = 1.0;
-/// RETRY control word (sent duplicated: `[2.0, 2.0]`).
-const CTL_RETRY: f64 = 2.0;
-
-enum Ctl {
-    Ack,
-    Retry,
-}
-
-/// Parse a 2-word duplicated control frame. The duplication means a
-/// single bit flip can never forge ACK ↔ RETRY (their bit patterns differ
-/// in many bits, and the two copies must agree): anything malformed
-/// aborts as detected corruption rather than desynchronizing the retry
-/// protocol.
-fn parse_ctl(rank: &mut Rank, data: &[f64]) -> Ctl {
-    if data.len() == 2 && data[0].to_bits() == data[1].to_bits() {
-        if data[0].to_bits() == CTL_ACK.to_bits() {
-            return Ctl::Ack;
-        }
-        if data[0].to_bits() == CTL_RETRY.to_bits() {
-            return Ctl::Retry;
-        }
-    }
-    rank.abort_corruption(format!(
-        "control frame corrupted beyond recognition ({} words)",
-        data.len()
-    ))
-}
-
-fn ctl_frame(code: f64) -> Vec<f64> {
-    vec![code, code]
-}
-
-/// Ack-synchronous protected send (the DOWN direction): deliver `data` to
-/// `to`, and under [`Recovery::Abft`] block for the receiver's ACK,
-/// re-sending from the retained clean copy on RETRY (bounded, with
-/// deterministic virtual-time backoff). Blocking for the ACK here is
-/// deadlock-free because the receiver's next action is exactly the
-/// matching [`recv_frame_acked`].
-fn send_frame_acked(
-    rank: &mut Rank,
-    recovery: Recovery,
-    to: usize,
-    tag: u64,
-    ctl_tag: u64,
-    data: Vec<f64>,
-) {
-    match recovery {
-        Recovery::None => rank.send(to, tag, data),
-        Recovery::Detect => rank.send(to, tag, encode_frame(&data)),
-        Recovery::Abft => {
-            let mut attempt = 1u32;
-            loop {
-                rank.send(to, tag, encode_frame(&data));
-                let ctl = rank.recv(to, ctl_tag);
-                match parse_ctl(rank, &ctl) {
-                    Ctl::Ack => return,
-                    Ctl::Retry => {
-                        attempt += 1;
-                        if attempt > MAX_FRAME_RETRIES + 1 {
-                            rank.abort_corruption(format!(
-                                "frame tag {tag} to rank {to} still corrupt after {MAX_FRAME_RETRIES} retries"
-                            ));
-                        }
-                        rank.note_frame_retried();
-                        // Deterministic backoff in virtual time before the
-                        // resend (grows with the attempt, comparable to α).
-                        rank.sleep((attempt - 1) as f64);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Receiving side of [`send_frame_acked`]: receive a `payload_len`-word
-/// frame from `from`, verifying/correcting checksums per `recovery`.
-/// Under [`Recovery::Detect`] any corruption aborts; under
-/// [`Recovery::Abft`] a single corrupted word is corrected locally
-/// (counted in [`RankStats::frames_corrected`](crate::RankStats)) and an
-/// uncorrectable frame is re-requested with a RETRY control frame.
-fn recv_frame_acked(
-    rank: &mut Rank,
-    recovery: Recovery,
-    from: usize,
-    tag: u64,
-    ctl_tag: u64,
-    payload_len: usize,
-) -> Vec<f64> {
-    match recovery {
-        Recovery::None => rank.recv(from, tag),
-        Recovery::Detect => {
-            let mut frame = rank.recv(from, tag);
-            match decode_frame(&mut frame, payload_len) {
-                FrameOutcome::Clean => frame,
-                outcome => rank.abort_corruption(format!(
-                    "corrupted frame tag {tag} from rank {from} ({outcome:?}) in verify-only mode"
-                )),
-            }
-        }
-        Recovery::Abft => {
-            let mut attempt = 1u32;
-            loop {
-                let mut frame = rank.recv(from, tag);
-                let outcome = decode_frame(&mut frame, payload_len);
-                if outcome.recovered() {
-                    if !matches!(outcome, FrameOutcome::Clean) {
-                        rank.note_frame_corrected();
-                    }
-                    rank.send(from, ctl_tag, ctl_frame(CTL_ACK));
-                    return frame;
-                }
-                attempt += 1;
-                if attempt > MAX_FRAME_RETRIES + 1 {
-                    rank.abort_corruption(format!(
-                        "frame tag {tag} from rank {from} still corrupt after {MAX_FRAME_RETRIES} retries"
-                    ));
-                }
-                rank.send(from, ctl_tag, ctl_frame(CTL_RETRY));
-                rank.sleep((attempt - 1) as f64);
-            }
-        }
-    }
-}
 
 /// Balanced contiguous partition of `g` ranks into `nsub` subgroups:
 /// bounds `[start, end)` of subgroup `j`. The first `g mod nsub`
@@ -511,6 +365,7 @@ fn dist_node(
     let (s0, e0) = subgroup_bounds(g, nsub, my_j);
     let my_sub = &group[s0..e0];
     let sub_leader_of = |j: usize| group[subgroup_bounds(g, nsub, j).0];
+    let tag = |base: u64, l: usize| base + depth * DEPTH_STRIDE + l as u64;
 
     // Phase 1 (leader): encode all r children in ascending l, ship each
     // to its subgroup leader (buffered sends — no deadlock), queue own.
@@ -548,14 +403,9 @@ fn dist_node(
                 // child's ACK here is safe because the child's first
                 // phase-2 action for child `l` is exactly this receive —
                 // its progress never depends on the leader's later sends.
-                send_frame_acked(
-                    rank,
-                    ctx.recovery,
-                    tgt,
-                    TAG_DOWN + depth * DEPTH_STRIDE + l as u64,
-                    TAG_CTL + depth * DEPTH_STRIDE + l as u64,
-                    msg,
-                );
+                if let Some(clean) = frame::send(rank, ctx.recovery, tgt, tag(TAG_DOWN, l), msg) {
+                    frame::await_ack(rank, tgt, tag(TAG_DOWN, l), tag(TAG_CTL, l), &clean);
+                }
             }
         }
     }
@@ -574,12 +424,12 @@ fn dist_node(
             let (ta, tb) = if me == leader {
                 local_children.pop_front().expect("queued child")
             } else {
-                let data = recv_frame_acked(
+                let data = frame::recv(
                     rank,
                     ctx.recovery,
                     leader,
-                    TAG_DOWN + depth * DEPTH_STRIDE + l as u64,
-                    TAG_CTL + depth * DEPTH_STRIDE + l as u64,
+                    tag(TAG_DOWN, l),
+                    Some(tag(TAG_CTL, l)),
                     ta_len + tb_len,
                 );
                 rank.track_alloc(data.len());
@@ -595,21 +445,10 @@ fn dist_node(
             if me == leader {
                 own_results.push_back(ml);
             } else {
-                let tag = TAG_UP + depth * DEPTH_STRIDE + l as u64;
-                match ctx.recovery {
-                    Recovery::None => {
-                        rank.send(leader, tag, ml);
-                        rank.track_free(mc_len);
-                    }
-                    Recovery::Detect => {
-                        rank.send(leader, tag, encode_frame(&ml));
-                        rank.track_free(mc_len);
-                    }
-                    Recovery::Abft => {
-                        rank.send(leader, tag, encode_frame(&ml));
-                        // Retained until the leader's ACK (freed below).
-                        pending_up.push((l, ml));
-                    }
+                match frame::send(rank, ctx.recovery, leader, tag(TAG_UP, l), ml) {
+                    // Retained until the leader's ACK (freed below).
+                    Some(clean) => pending_up.push((l, clean)),
+                    None => rank.track_free(mc_len),
                 }
             }
         }
@@ -619,27 +458,8 @@ fn dist_node(
     // sub-leaders only): drain control frames in ascending l — the
     // leader's phase-3 order — re-sending from the retained clean copy on
     // RETRY.
-    for (l, payload) in pending_up {
-        let tag = TAG_UP + depth * DEPTH_STRIDE + l as u64;
-        let ctl_tag = TAG_CTL + depth * DEPTH_STRIDE + l as u64;
-        let mut attempt = 1u32;
-        loop {
-            let ctl = rank.recv(leader, ctl_tag);
-            match parse_ctl(rank, &ctl) {
-                Ctl::Ack => break,
-                Ctl::Retry => {
-                    attempt += 1;
-                    if attempt > MAX_FRAME_RETRIES + 1 {
-                        rank.abort_corruption(format!(
-                            "frame tag {tag} to rank {leader} still corrupt after {MAX_FRAME_RETRIES} retries"
-                        ));
-                    }
-                    rank.note_frame_retried();
-                    rank.sleep((attempt - 1) as f64);
-                    rank.send(leader, tag, encode_frame(&payload));
-                }
-            }
-        }
+    for (l, clean) in pending_up {
+        frame::await_ack(rank, leader, tag(TAG_UP, l), tag(TAG_CTL, l), &clean);
         rank.track_free(mc_len);
     }
 
@@ -656,12 +476,12 @@ fn dist_node(
             let ml = if sub_leader_of(l % nsub) == me {
                 own_results.pop_front().expect("own child result")
             } else {
-                let d = recv_frame_acked(
+                let d = frame::recv(
                     rank,
                     ctx.recovery,
                     sub_leader_of(l % nsub),
-                    TAG_UP + depth * DEPTH_STRIDE + l as u64,
-                    TAG_CTL + depth * DEPTH_STRIDE + l as u64,
+                    tag(TAG_UP, l),
+                    Some(tag(TAG_CTL, l)),
                     mc_len,
                 );
                 rank.track_alloc(d.len());

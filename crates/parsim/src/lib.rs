@@ -1,10 +1,10 @@
 //! # fastmm-parsim — the distributed-memory machine simulator
 //!
 //! The parallel model of the paper's Section 1.1, substituted for MPI on a
-//! real cluster (see DESIGN.md §2): `p` ranks on OS threads, blocking α-β
-//! messages, per-rank virtual clocks whose maximum is the critical-path
-//! time, plus per-rank word/message/memory accounting — exactly the
-//! quantities Corollaries 1.2/1.4 and Table I bound.
+//! real cluster: `p` ranks on OS threads, blocking α-β messages, per-rank
+//! virtual clocks whose maximum is the critical-path time, plus per-rank
+//! word/message/memory accounting — exactly the quantities Corollaries
+//! 1.2/1.4 and Table I bound.
 //!
 //! Algorithms: Cannon's 2D ([`cannon`]), the 3D and 2.5D classical
 //! algorithms ([`grid3d`]), CAPS, the communication-optimal parallel
@@ -15,8 +15,10 @@
 //!
 //! Resilience: [`fault`] is the deterministic fault-injection layer
 //! (rank crashes, frame corruption, degraded links as a config-attached
-//! [`FaultPlan`]), and [`exec`]'s [`Recovery`] modes survive injected
-//! corruption by ABFT checksum frames with bounded re-request retries.
+//! [`FaultPlan`]), and the [`Recovery`] modes survive injected corruption:
+//! one crate-private frame module owns the XOR-parity frame codec and the
+//! ACK/RETRY re-request protocol that both CAPS and [`exec`] send and
+//! receive through.
 
 #![warn(missing_docs)]
 
@@ -26,6 +28,7 @@ pub mod dist;
 mod event;
 pub mod exec;
 pub mod fault;
+mod frame;
 pub mod grid3d;
 mod lockstep;
 pub mod machine;
@@ -33,9 +36,10 @@ pub mod machine;
 pub use caps::{caps, caps_scheme, CapsPlan, Step};
 pub use exec::{
     caps_plan_for_budget, dist_caps, dist_multiply, try_dist_caps, try_dist_multiply, DistConfig,
-    DistError, Recovery,
+    DistError,
 };
 pub use fault::{Fault, FaultPlan, InjectedFault, InjectedKind};
+pub use frame::Recovery;
 pub use machine::{
     run_spmd, try_run_spmd, MachineConfig, Rank, RankFailed, RankStats, Runtime, SpmdResult,
 };

@@ -19,7 +19,7 @@ use fastmm_matrix::recursive::multiply_scheme;
 use fastmm_matrix::scheme::{all_schemes, strassen};
 use fastmm_parsim::cannon::{cannon, cannon_reference, cannon_words_per_rank};
 use fastmm_parsim::caps::CapsPlan;
-use fastmm_parsim::exec::{dist_multiply, DistConfig};
+use fastmm_parsim::exec::{dist_multiply, try_dist_caps, try_dist_multiply, DistConfig, DistError};
 use fastmm_parsim::machine::MachineConfig;
 use fastmm_parsim::{caps, caps_scheme};
 use rand::rngs::StdRng;
@@ -119,6 +119,31 @@ fn caps_bitwise_and_counters_exact_at_strong_scaling_ps() {
                 "p={p} n={n} dfs={dfs} rank {r}: peak memory"
             );
         }
+    }
+}
+
+#[test]
+fn zero_dimension_operands_gather_the_empty_product() {
+    // The product of a zero-dimension pair is empty (M or N = 0) or all
+    // zeros (K = 0): the generic engine gathers exactly that, with no
+    // rank failing, and CAPS refuses n = 0 when it plans.
+    let s = strassen();
+    let cfg = DistConfig::new(7);
+    for (m, k, n) in [(0usize, 0usize, 0usize), (5, 0, 4), (0, 3, 4)] {
+        let a = Matrix::from_fn(m, k, |i, j| (i * k + j) as f64 + 0.5);
+        let b = Matrix::from_fn(k, n, |i, j| (i * n + j) as f64 - 0.5);
+        let (c, _) =
+            try_dist_multiply(&cfg, &s, &a, &b).unwrap_or_else(|e| panic!("{m}x{k}x{n}: {e}"));
+        let want = multiply_scheme(&s, &a, &b, cfg.resolved_cutoff());
+        assert!(c.bits_eq(&want), "{m}x{k}x{n}: gather differs");
+    }
+    let empty = Matrix::<f64>::zeros(0, 0);
+    match try_dist_caps(&cfg, &s, &empty, &empty) {
+        Err(DistError::Plan(msg)) => assert!(msg.contains("n=0"), "{msg}"),
+        other => panic!(
+            "n = 0 must fail planning, got {:?}",
+            other.map(|(c, _)| c.rows())
+        ),
     }
 }
 

@@ -15,9 +15,9 @@
 
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::scheme::strassen;
-use fastmm_parsim::exec::{try_dist_multiply, DistConfig, Recovery};
+use fastmm_parsim::exec::{try_dist_multiply, DistConfig};
 use fastmm_parsim::machine::Runtime;
-use fastmm_parsim::FaultPlan;
+use fastmm_parsim::{FaultPlan, Recovery};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -9,11 +9,10 @@ use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::recursive::multiply_scheme;
 use fastmm_matrix::scheme::strassen;
 use fastmm_parsim::exec::{
-    try_dist_caps, try_dist_multiply, DistConfig, DistError, Recovery, DEPTH_STRIDE, TAG_DOWN,
-    TAG_UP,
+    try_dist_caps, try_dist_multiply, DistConfig, DistError, DEPTH_STRIDE, TAG_DOWN, TAG_UP,
 };
 use fastmm_parsim::machine::Runtime;
-use fastmm_parsim::{FaultPlan, InjectedKind};
+use fastmm_parsim::{FaultPlan, InjectedKind, Recovery};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -167,6 +166,40 @@ fn abft_corrects_an_up_frame_too() {
     assert_eq!(
         res.stats.iter().map(|st| st.frames_corrected).sum::<u64>(),
         1
+    );
+}
+
+#[test]
+fn abft_rerequests_an_uncorrectable_up_frame() {
+    // Two flipped words in a product frame: the leader re-requests it and
+    // the sub-leader resends its retained clean copy through the
+    // deferred-ack path. Corrupting every resend exhausts the retries.
+    let s = strassen();
+    let (a, b) = sample(16, 0xFA13);
+    let want = multiply_scheme(&s, &a, &b, 2);
+    let corrupt = |plan: FaultPlan, nth| {
+        plan.with_corrupt_frame(1, 0, Some(TAG_UP + 1), nth, 0, 11)
+            .with_corrupt_frame(1, 0, Some(TAG_UP + 1), nth, 1, 44)
+    };
+    let cfg = |plan| {
+        DistConfig::new(7)
+            .with_cutoff(2)
+            .with_recovery(Recovery::Abft)
+            .with_fault_plan(plan)
+    };
+    let (c, res) = try_dist_multiply(&cfg(corrupt(FaultPlan::new(), 1)), &s, &a, &b)
+        .expect("re-request must recover");
+    assert!(c.bits_eq(&want), "resent frame must restore exact bits");
+    assert_eq!(res.stats.iter().map(|st| st.frames_retried).sum::<u64>(), 1);
+    let every_send = (1..=5).fold(FaultPlan::new(), corrupt);
+    let err = try_dist_multiply(&cfg(every_send), &s, &a, &b).expect_err("retries must run out");
+    assert_eq!(err.rank, 0, "the leader gives up: {err}");
+    let inj = err.injected.expect("provenance");
+    assert_eq!(inj.kind, InjectedKind::CorruptionDetected);
+    assert!(
+        err.payload.contains("still corrupt after 3 retries"),
+        "{}",
+        err.payload
     );
 }
 

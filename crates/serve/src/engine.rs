@@ -32,21 +32,24 @@
 //!
 //! ## Supervision
 //!
-//! A worker shard that panics mid-job is **respawned** with a fresh
-//! arena by its supervisor loop; the in-flight job is retried up to
-//! [`EngineConfig::max_job_retries`] times and then surfaced as a typed
-//! [`JobError::WorkerPanicked`] — never a lost result. Every submitted
-//! job therefore resolves to exactly one [`JobResult`], so
+//! Each shard runs its jobs one at a time, each under `catch_unwind`. A
+//! job that panics is retried **in place**: the shard replaces its arena
+//! with a fresh one (the panic may have left it half-written) and runs
+//! the job again, until it succeeds or has failed
+//! [`EngineConfig::max_job_retries`]` + 1` times, when it resolves to a
+//! typed [`JobError::WorkerPanicked`] — never a lost result — and the
+//! shard moves on to its next job. A panic outside a job ends the shard;
+//! its queued jobs then resolve to [`JobError::ShardLost`]. Every
+//! submitted job therefore resolves to exactly one [`JobResult`], so
 //! [`BatchTicket::wait`]/[`BatchTicket::recv_next`] can never hang on a
 //! dead shard; [`EngineHandle::submit_with_deadline`] additionally bounds
 //! how long the ticket will wait before resolving the remaining jobs to
 //! [`JobError::DeadlineExceeded`].
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -81,9 +84,8 @@ pub struct EngineConfig {
     /// Idle arena words each worker retains between batches
     /// ([`ScratchArena::trim`] bound).
     pub max_retained_words: usize,
-    /// How many times a job whose worker panicked is retried (on the
-    /// respawned shard) before it resolves to
-    /// [`JobError::WorkerPanicked`].
+    /// How many times a job that panicked is retried (in place, on a
+    /// fresh arena) before it resolves to [`JobError::WorkerPanicked`].
     pub max_job_retries: u32,
 }
 
@@ -167,8 +169,8 @@ impl Job {
 /// product or to one of these — so batch tickets never hang.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobError {
-    /// The worker shard panicked on every attempt at this job (initial
-    /// attempt + [`EngineConfig::max_job_retries`] retries).
+    /// The job panicked on every attempt (initial attempt +
+    /// [`EngineConfig::max_job_retries`] retries).
     WorkerPanicked {
         /// Total failed attempts.
         attempts: u32,
@@ -179,8 +181,8 @@ pub enum JobError {
     /// ([`EngineHandle::submit_with_deadline`]). The job may still
     /// complete in the background; its late result is discarded.
     DeadlineExceeded,
-    /// The shard (and its supervisor) disappeared without resolving the
-    /// job — the engine was torn down, or the supervisor itself died.
+    /// The shard disappeared without resolving the job — the engine was
+    /// torn down, or the shard died of a panic outside a job.
     ShardLost,
 }
 
@@ -335,12 +337,10 @@ impl BatchTicket {
     }
 }
 
-/// One job en route to (or being retried on) a worker shard.
+/// One job en route to a worker shard.
 struct WorkUnit {
     /// Submission index within its batch.
     slot: usize,
-    /// Failed attempts so far (0 on first dispatch).
-    attempts: u32,
     job: Job,
     /// Where the owning batch collects results.
     results: Sender<(usize, JobResult)>,
@@ -387,7 +387,7 @@ impl EngineHandle {
                 std::thread::Builder::new()
                     .name(format!("fastmm-serve-{shard}"))
                     .spawn(move || {
-                        shard_supervisor(rx, schemes, cutoff, max_retained, max_retries, in_flight)
+                        shard_loop(rx, &schemes, cutoff, max_retained, max_retries, &in_flight)
                     })
                     .expect("spawning worker shard"),
             );
@@ -477,15 +477,14 @@ impl EngineHandle {
             let w = self.next_worker.fetch_add(1, Ordering::Relaxed) % shards;
             let unit = WorkUnit {
                 slot,
-                attempts: 0,
                 job,
                 results: tx.clone(),
             };
             if let Err(failed) = self.senders[w].send(unit) {
-                // The shard's supervisor is gone (it exits only when its
-                // channel disconnects, so this means teardown or a
-                // supervisor death): resolve the job instead of panicking
-                // or leaking queue capacity.
+                // The shard is gone (it exits on its own only when its
+                // channel disconnects, so this means a panic outside a
+                // job): resolve the job instead of panicking or leaking
+                // queue capacity.
                 let unit = failed.0;
                 self.in_flight.fetch_sub(1, Ordering::SeqCst);
                 let _ = unit.results.send((unit.slot, Err(JobError::ShardLost)));
@@ -528,126 +527,64 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Shard supervisor: runs [`shard_body`] under `catch_unwind` and
-/// respawns it — with a **fresh arena** — whenever it panics. The job
-/// that was in flight at the panic is either requeued locally (up to
-/// `max_job_retries` retries on the respawned incarnation) or resolved to
-/// [`JobError::WorkerPanicked`]; either way its slot resolves, so the
-/// owning ticket never hangs. The supervisor itself exits only when the
-/// dispatch channel disconnects (engine teardown), after the body has
-/// drained it.
-fn shard_supervisor(
-    rx: Receiver<WorkUnit>,
-    schemes: Arc<Vec<BilinearScheme>>,
-    cutoff: usize,
-    max_retained_words: usize,
-    max_job_retries: u32,
-    in_flight: Arc<AtomicUsize>,
-) {
-    // Both survive body incarnations: `current` is the unit being
-    // executed (recovered after a panic via the poisoned lock), `retries`
-    // the local requeue the next incarnation drains first.
-    let current: Mutex<Option<WorkUnit>> = Mutex::new(None);
-    let retries: Mutex<VecDeque<WorkUnit>> = Mutex::new(VecDeque::new());
-    loop {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            shard_body(
-                &rx,
-                &current,
-                &retries,
-                &schemes,
-                cutoff,
-                max_retained_words,
-                &in_flight,
-            )
-        }));
-        match outcome {
-            Ok(()) => return, // channel disconnected and drained: clean exit
-            Err(payload) => {
-                let crashed = current
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .take();
-                if let Some(mut unit) = crashed {
-                    unit.attempts += 1;
-                    if unit.attempts > max_job_retries {
-                        in_flight.fetch_sub(1, Ordering::SeqCst);
-                        let err = JobError::WorkerPanicked {
-                            attempts: unit.attempts,
-                            payload: panic_payload_string(payload.as_ref()),
-                        };
-                        let _ = unit.results.send((unit.slot, Err(err)));
-                    } else {
-                        retries
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .push_back(unit);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One incarnation of a shard: drain retried then fresh work units,
-/// computing each job with this incarnation's private arena at the
+/// One worker shard: run each queued job on this shard's arena at the
 /// engine's resolved cutoff — the identical code path to
 /// `multiply_scheme`, so outputs are bitwise equal to the sequential
-/// engine regardless of which shard (or which incarnation of it) runs the
-/// job.
-fn shard_body(
-    rx: &Receiver<WorkUnit>,
-    current: &Mutex<Option<WorkUnit>>,
-    retries: &Mutex<VecDeque<WorkUnit>>,
+/// engine whichever shard (or attempt) runs the job. A job that panics is
+/// retried in place on a fresh arena until it succeeds or has failed
+/// `max_job_retries + 1` times, and then resolves to
+/// [`JobError::WorkerPanicked`]; either way its slot resolves, so the
+/// owning ticket never hangs. Returns once the dispatch channel
+/// disconnects (engine teardown) and is drained.
+fn shard_loop(
+    rx: Receiver<WorkUnit>,
     schemes: &[BilinearScheme],
     cutoff: usize,
     max_retained_words: usize,
+    max_job_retries: u32,
     in_flight: &AtomicUsize,
 ) {
     let mut arena = ScratchArena::new();
-    loop {
-        let unit = {
-            let requeued = retries
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .pop_front();
-            match requeued {
-                Some(u) => u,
-                None => match rx.recv() {
-                    Ok(u) => u,
-                    Err(_) => return, // disconnected and drained
-                },
+    for unit in rx {
+        let job = &unit.job;
+        let mut attempts = 0u32;
+        let result = loop {
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                if attempts < job.injected_panics {
+                    panic!(
+                        "injected worker panic (attempt {} of job slot {})",
+                        attempts + 1,
+                        unit.slot
+                    );
+                }
+                let mut c = Matrix::zeros(job.a.rows(), job.b.cols());
+                multiply_into(
+                    &schemes[job.scheme],
+                    job.a.view(),
+                    job.b.view(),
+                    &mut c.view_mut(),
+                    cutoff,
+                    &mut arena,
+                );
+                c
+            }));
+            match run {
+                Ok(c) => break Ok(c),
+                Err(payload) => {
+                    arena = ScratchArena::new();
+                    attempts += 1;
+                    if attempts > max_job_retries {
+                        break Err(JobError::WorkerPanicked {
+                            attempts,
+                            payload: panic_payload_string(payload.as_ref()),
+                        });
+                    }
+                }
             }
         };
-        // Park the unit where the supervisor can recover it if we panic.
-        // The guard is held across the multiply on purpose: a panic
-        // poisons the lock, and the supervisor takes the unit through the
-        // poison.
-        let mut cur = current.lock().unwrap_or_else(|p| p.into_inner());
-        *cur = Some(unit);
-        let u = cur.as_ref().expect("just parked");
-        if u.attempts < u.job.injected_panics {
-            panic!(
-                "injected worker panic (attempt {} of job slot {})",
-                u.attempts + 1,
-                u.slot
-            );
-        }
-        let scheme = &schemes[u.job.scheme];
-        let mut c = Matrix::zeros(u.job.a.rows(), u.job.b.cols());
-        multiply_into(
-            scheme,
-            u.job.a.view(),
-            u.job.b.view(),
-            &mut c.view_mut(),
-            cutoff,
-            &mut arena,
-        );
-        let unit = cur.take().expect("still parked");
-        drop(cur);
         in_flight.fetch_sub(1, Ordering::SeqCst);
         // The ticket may have been dropped; completing is still correct.
-        let _ = unit.results.send((unit.slot, Ok(c)));
+        let _ = unit.results.send((unit.slot, result));
         // Between units: bound what an idle shard keeps warm.
         arena.trim(max_retained_words);
     }

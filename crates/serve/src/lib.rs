@@ -21,9 +21,9 @@
 //!   applies **bounded-queue backpressure**: a submit that would exceed
 //!   the queue capacity returns [`Submit::Rejected`] with the observed
 //!   depth instead of buffering without bound. Shards are **supervised**:
-//!   a worker panic respawns the shard with a fresh arena, the in-flight
-//!   job is retried up to [`EngineConfig::with_max_job_retries`] times and
-//!   then surfaced as a typed [`JobError`] — a ticket never hangs.
+//!   a job that panics is retried in place on a fresh arena up to
+//!   [`EngineConfig::with_max_job_retries`] times and then surfaced as a
+//!   typed [`JobError`] — a ticket never hangs.
 //! * [`ser`] — the length-prefixed binary wire format: versioned header,
 //!   checked deserialization. Malformed frames return typed
 //!   [`ser::WireError`]s — never panic — and zero-dimension operands are

@@ -1,6 +1,6 @@
-//! The supervision contract: a worker-shard panic can never wedge a
-//! ticket. The shard respawns with a fresh arena, the in-flight job is
-//! retried up to the configured bound, and exhaustion surfaces as a typed
+//! The supervision contract: a job that panics can never wedge a
+//! ticket. The shard retries the job in place on a fresh arena, up to the
+//! configured bound, and exhaustion surfaces as a typed
 //! [`JobError::WorkerPanicked`] on that job's slot — every other job in
 //! the batch still completes, bitwise identical to `multiply_scheme`.
 
@@ -25,7 +25,7 @@ fn job(rng: &mut StdRng, m: usize, k: usize, n: usize) -> Job {
 /// unconditionally-panicking job used to kill the only worker thread and
 /// leave every later job (and the ticket) hung forever. Under
 /// supervision, the poisoned job resolves to `WorkerPanicked` and the
-/// jobs queued behind it complete on the respawned shard.
+/// jobs queued behind it complete on the same shard.
 #[test]
 fn worker_panic_cannot_wedge_a_ticket() {
     let schemes = all_schemes();
@@ -62,8 +62,8 @@ fn worker_panic_cannot_wedge_a_ticket() {
     engine.shutdown();
 }
 
-/// A job that panics fewer times than the retry budget succeeds on the
-/// respawned shard, and its product is still bitwise identical to the
+/// A job that panics fewer times than the retry budget succeeds on a
+/// fresh arena, and its product is still bitwise identical to the
 /// sequential engine — a fresh arena changes nothing about the bits.
 #[test]
 fn transient_panic_retries_to_success() {
@@ -101,7 +101,7 @@ fn deadline_resolves_instead_of_hanging() {
     let mut rng = StdRng::seed_from_u64(0x5E27E);
     let engine = EngineHandle::start(EngineConfig::new(1).with_cutoff(8).with_max_job_retries(0));
     // A poisoned job with an enormous retry appetite would stall the shard
-    // in respawn loops if retries were unbounded; with the deadline the
+    // in its retry loop if retries were unbounded; with the deadline the
     // ticket resolves regardless.
     let poison = job(&mut rng, 16, 16, 16).with_injected_panics(u32::MAX);
     let ticket = engine
@@ -143,7 +143,7 @@ fn recv_next_resolves_every_slot_exactly_once() {
 
 /// Graceful shutdown: dropping the handle after submitting still lets the
 /// queued work drain — mpsc delivers queued messages before reporting
-/// disconnect, and the supervisor only exits once the channel is empty.
+/// disconnect, and the shard only exits once the channel is empty.
 #[test]
 fn shutdown_drains_queued_work() {
     let schemes = all_schemes();

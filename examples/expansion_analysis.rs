@@ -5,7 +5,7 @@
 //! cut found, spectral Cheeger), replays the Lemma 4.3 proof quantities on
 //! the best cut, and prints a DOT drawing of `Dec₁C` (Figure 2, top left).
 //!
-//! Run with: `cargo run --release -p fastmm-core --example expansion_analysis`
+//! Run with: `cargo run --release --example expansion_analysis`
 
 use fastmm_cdag::layered::{build_dec, SchemeShape};
 use fastmm_core::prelude::*;

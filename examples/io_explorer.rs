@@ -5,7 +5,7 @@
 //! total orders and eviction policies on the two-level DAG machine, and
 //! compares everything against the Equation (6) partition bound.
 //!
-//! Run with: `cargo run --release -p fastmm-core --example io_explorer`
+//! Run with: `cargo run --release --example io_explorer`
 
 use fastmm_cdag::trace::trace_multiply;
 use fastmm_core::prelude::*;

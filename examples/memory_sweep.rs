@@ -2,7 +2,7 @@
 //! `(n/√M)^{ω₀}·M` — Theorem 1.1/1.3 and Equation (1) in one plot-ready
 //! table.
 //!
-//! Run with: `cargo run --release -p fastmm-core --example memory_sweep`
+//! Run with: `cargo run --release --example memory_sweep`
 
 use fastmm_core::prelude::*;
 use fastmm_memsim::explicit::{multiply_blocked_explicit, multiply_dfs_explicit};

@@ -2,7 +2,7 @@
 //! distributed-memory machine, head-to-head with Cannon's classical 2D
 //! algorithm — the "attained by" column of Table I.
 //!
-//! Run with: `cargo run --release -p fastmm-core --example parallel_strassen`
+//! Run with: `cargo run --release --example parallel_strassen`
 
 use fastmm_core::prelude::*;
 use fastmm_parsim::cannon::cannon;

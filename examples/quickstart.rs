@@ -2,7 +2,7 @@
 //! classical kernel, and ask the paper's theory what the multiplication
 //! *must* cost in communication.
 //!
-//! Run with: `cargo run --release -p fastmm-core --example quickstart`
+//! Run with: `cargo run --release --example quickstart`
 
 use fastmm_core::prelude::*;
 use fastmm_memsim::explicit::multiply_dfs_explicit;
