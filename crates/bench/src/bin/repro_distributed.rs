@@ -10,8 +10,9 @@
 //! `p = 2401` on the event-driven runtime at `n = 784`.
 //!
 //! The artifact holds every run's rows, the scale rows last. The
-//! committed copy is a `repro_distributed 56` run: refresh it with
-//! `cp target/BENCH_dist.json .`.
+//! committed copy is a `repro_distributed 28 56 --scale` run, the same 28
+//! rows `repro_all` writes: refresh it with `cp target/BENCH_dist.json .`
+//! after that run.
 fn main() {
     let (ns, scale) =
         fastmm_bench::parse_argv("[n...] [--scale]", Some("--scale"), usize::MAX, |n| {

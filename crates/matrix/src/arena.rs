@@ -184,15 +184,15 @@ impl<T: Scalar> ScratchArena<T> {
     }
 
     /// Drop pooled buffers, largest class first, until at most
-    /// `max_retained_words` of idle capacity remain. The serve layer calls
-    /// this between batches so one giant request does not pin its
+    /// `max_words` of idle capacity remain. The serve layer calls this
+    /// between work items so one giant request does not pin its
     /// high-water scratch set for the life of the worker. Buffers
     /// currently taken are unaffected.
-    pub fn trim(&mut self, max_retained_words: usize) {
+    pub fn trim(&mut self, max_words: usize) {
         let mut b = self.buckets.len();
-        while self.retained > max_retained_words && b > 0 {
+        while self.retained > max_words && b > 0 {
             b -= 1;
-            while self.retained > max_retained_words {
+            while self.retained > max_words {
                 match self.buckets[b].pop() {
                     Some(buf) => self.retained -= buf.capacity(),
                     None => break,

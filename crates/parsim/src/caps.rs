@@ -524,7 +524,7 @@ pub fn caps_scheme(
 /// exchange frames carry XOR-parity checksums when `recovery` is not
 /// [`Recovery::None`] (see the module docs' *Recovery*), and a dead rank
 /// returns [`RankFailed`] — with any injected-fault provenance — instead
-/// of panicking.
+/// of panicking. Panics unless `a` and `b` are both `plan.n × plan.n`.
 pub fn try_caps_scheme(
     cfg: MachineConfig,
     scheme: &BilinearScheme,
@@ -538,7 +538,9 @@ pub fn try_caps_scheme(
     assert_eq!(scheme.r, plan.r, "plan was built for a different rank");
     let n = plan.n;
     assert_eq!(a.rows(), n);
+    assert_eq!(a.cols(), n);
     assert_eq!(b.rows(), n);
+    assert_eq!(b.cols(), n);
     let levels = plan.steps.len();
     // One run-wide rank list: every (sub)group is a slice of it.
     let group: Vec<usize> = (0..plan.p).collect();

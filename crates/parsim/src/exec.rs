@@ -228,17 +228,28 @@ pub fn dist_caps(
 
 /// [`dist_caps`] with *both* failure modes as values: a planning error or
 /// a [`RankFailed`] (with injected-fault provenance) instead of a panic.
-/// CAPS recovery is checksummed frames with local single-word correction
-/// only (see the [`caps`](mod@crate::caps) module docs): uncorrectable
-/// corruption fails loudly under both [`Recovery::Detect`] and
-/// [`Recovery::Abft`].
+/// CAPS multiplies square operands only, so anything but two `n × n`
+/// matrices is a planning error naming both shapes. CAPS recovery is
+/// checksummed frames with local single-word correction only (see the
+/// [`caps`](mod@crate::caps) module docs): uncorrectable corruption fails
+/// loudly under both [`Recovery::Detect`] and [`Recovery::Abft`].
 pub fn try_dist_caps(
     cfg: &DistConfig,
     scheme: &BilinearScheme,
     a: &Matrix<f64>,
     b: &Matrix<f64>,
 ) -> Result<(Matrix<f64>, SpmdResult<Vec<f64>>), DistError> {
-    let plan = caps_plan_for_budget(cfg, scheme, a.rows()).map_err(DistError::Plan)?;
+    let n = a.rows();
+    if (a.cols(), b.rows(), b.cols()) != (n, n, n) {
+        return Err(DistError::Plan(format!(
+            "CAPS needs two n x n operands; got {}x{} times {}x{}",
+            a.rows(),
+            a.cols(),
+            b.rows(),
+            b.cols()
+        )));
+    }
+    let plan = caps_plan_for_budget(cfg, scheme, n).map_err(DistError::Plan)?;
     try_caps_scheme(cfg.machine(), scheme, &plan, cfg.recovery, a, b).map_err(DistError::Rank)
 }
 

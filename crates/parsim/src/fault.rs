@@ -1,14 +1,13 @@
 //! Deterministic fault injection for the simulated distributed machine.
 //!
 //! A [`FaultPlan`] is a config-injectable, fully deterministic schedule of
-//! faults: rank crashes (at the k-th send, or at virtual time *t*), message
-//! payload corruption (flip a chosen bit of a chosen word of a chosen
-//! `(src, dst, tag)` frame), and degraded links. Plans are attached to
+//! faults of two kinds: rank crashes (at the k-th send) and message payload
+//! corruption (flip a chosen bit of a chosen word of a chosen
+//! `(src, dst, tag)` frame). Plans are attached to
 //! [`MachineConfig`](crate::MachineConfig) and enforced inside the shared
 //! [`Rank`](crate::Rank) facade, so `Runtime::Event` and `Runtime::Lockstep`
 //! honor the same plan identically by construction: fault decisions depend
-//! only on per-rank operation counters and virtual clocks, never on host
-//! scheduling.
+//! only on per-rank send and frame counters, never on host scheduling.
 //!
 //! Injected failures carry provenance: the three-level failure classifier
 //! reports [`InjectedFault`] (kind, rank, step) through
@@ -30,14 +29,6 @@ pub enum Fault {
         /// 1-based send ordinal at which the crash fires.
         nth: u64,
     },
-    /// Rank `rank` panics at the first operation whose starting virtual
-    /// clock is `>= time` seconds.
-    CrashAtTime {
-        /// The rank that crashes.
-        rank: usize,
-        /// Virtual-time threshold in seconds.
-        time: f64,
-    },
     /// Flip bit `bit` of word `word` of the `nth` frame sent from `src` to
     /// `dst` (1-based over matching frames). When `tag` is `Some`, only
     /// frames with that exact tag are counted; when `None`, every
@@ -58,16 +49,6 @@ pub enum Fault {
         /// Bit index within the word, `< 64`.
         bit: u32,
     },
-    /// Multiply the β (per-word) cost of the directed link `src → dst` by
-    /// `factor` (≥ 1 slows it down; the α term is unaffected).
-    DegradeLink {
-        /// Sending rank.
-        src: usize,
-        /// Receiving rank.
-        dst: usize,
-        /// Multiplier applied to the link's per-word cost.
-        factor: f64,
-    },
 }
 
 /// What kind of fault was injected (provenance for failure reports).
@@ -75,8 +56,6 @@ pub enum Fault {
 pub enum InjectedKind {
     /// A [`Fault::CrashAtSend`] fired.
     CrashAtSend,
-    /// A [`Fault::CrashAtTime`] fired.
-    CrashAtTime,
     /// A corrupted frame was detected but could not be corrected, and the
     /// detecting rank aborted the run.
     CorruptionDetected,
@@ -86,7 +65,6 @@ impl fmt::Display for InjectedKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             InjectedKind::CrashAtSend => write!(f, "crash-at-send"),
-            InjectedKind::CrashAtTime => write!(f, "crash-at-time"),
             InjectedKind::CorruptionDetected => write!(f, "corruption-detected"),
         }
     }
@@ -165,20 +143,6 @@ impl FaultPlan {
         self
     }
 
-    /// Schedule a crash of `rank` at the first operation starting at
-    /// virtual time `>= time`.
-    ///
-    /// # Panics
-    /// If `time` is not finite and non-negative.
-    pub fn with_crash_at_time(mut self, rank: usize, time: f64) -> Self {
-        assert!(
-            time.is_finite() && time >= 0.0,
-            "crash-at-time threshold must be finite and >= 0; got {time}"
-        );
-        self.faults.push(Fault::CrashAtTime { rank, time });
-        self
-    }
-
     /// Schedule a single-bit flip in the `nth` frame sent `src → dst`
     /// (matching `tag` when `Some`): word `word`, bit `bit`.
     ///
@@ -206,48 +170,14 @@ impl FaultPlan {
         self
     }
 
-    /// Degrade the directed link `src → dst`: multiply its per-word cost
-    /// by `factor`.
-    ///
-    /// # Panics
-    /// If `factor` is not finite and positive.
-    pub fn with_degraded_link(mut self, src: usize, dst: usize, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "link degradation factor must be finite and > 0; got {factor}"
-        );
-        self.faults.push(Fault::DegradeLink { src, dst, factor });
-        self
-    }
-
-    /// The combined degradation factor for the directed link `src → dst`
-    /// (product of every matching rule; `1.0` when none match).
-    pub fn link_degradation(&self, src: usize, dst: usize) -> f64 {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::DegradeLink {
-                    src: s,
-                    dst: d,
-                    factor,
-                } if *s == src && *d == dst => Some(*factor),
-                _ => None,
-            })
-            .product()
-    }
-
     /// Compile the per-rank view of this plan for `rank`.
     pub(crate) fn compile(self: &Arc<Self>, rank: usize) -> RankFaults {
         let mut crash_send: Option<u64> = None;
-        let mut crash_time: Option<f64> = None;
         let mut corrupt = Vec::new();
         for f in &self.faults {
             match f {
                 Fault::CrashAtSend { rank: r, nth } if *r == rank => {
                     crash_send = Some(crash_send.map_or(*nth, |c| c.min(*nth)));
-                }
-                Fault::CrashAtTime { rank: r, time } if *r == rank => {
-                    crash_time = Some(crash_time.map_or(*time, |c| c.min(*time)));
                 }
                 Fault::CorruptFrame {
                     src,
@@ -272,7 +202,6 @@ impl FaultPlan {
         }
         RankFaults {
             crash_send,
-            crash_time,
             corrupt,
         }
     }
@@ -319,15 +248,13 @@ impl CorruptRule {
 pub(crate) struct RankFaults {
     /// Crash immediately before completing this 1-based send ordinal.
     pub(crate) crash_send: Option<u64>,
-    /// Crash at the first op starting at clock >= this.
-    pub(crate) crash_time: Option<f64>,
     pub(crate) corrupt: Vec<CorruptRule>,
 }
 
 impl RankFaults {
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.crash_send.is_none() && self.crash_time.is_none() && self.corrupt.is_empty()
+        self.crash_send.is_none() && self.corrupt.is_empty()
     }
 }
 
@@ -349,16 +276,9 @@ mod tests {
         let plan = Arc::new(
             FaultPlan::new()
                 .with_crash_at_send(1, 7)
-                .with_crash_at_send(1, 3)
-                .with_crash_at_time(2, 9.0)
-                .with_crash_at_time(2, 4.5),
+                .with_crash_at_send(1, 3),
         );
-        let r1 = plan.compile(1);
-        assert_eq!(r1.crash_send, Some(3));
-        assert_eq!(r1.crash_time, None);
-        let r2 = plan.compile(2);
-        assert_eq!(r2.crash_send, None);
-        assert_eq!(r2.crash_time, Some(4.5));
+        assert_eq!(plan.compile(1).crash_send, Some(3));
         assert!(plan.compile(0).is_empty());
     }
 
@@ -397,17 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn link_degradation_multiplies_matching_rules() {
-        let plan = FaultPlan::new()
-            .with_degraded_link(0, 1, 4.0)
-            .with_degraded_link(0, 1, 2.0)
-            .with_degraded_link(1, 0, 8.0);
-        assert_eq!(plan.link_degradation(0, 1), 8.0);
-        assert_eq!(plan.link_degradation(1, 0), 8.0);
-        assert_eq!(plan.link_degradation(2, 3), 1.0);
-    }
-
-    #[test]
     #[should_panic(expected = "1-based")]
     fn zero_send_ordinal_rejected() {
         let _ = FaultPlan::new().with_crash_at_send(0, 0);
@@ -417,11 +326,5 @@ mod tests {
     #[should_panic(expected = "bit index")]
     fn bit_out_of_range_rejected() {
         let _ = FaultPlan::new().with_corrupt_frame(0, 1, None, 1, 0, 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "factor")]
-    fn nonpositive_degradation_rejected() {
-        let _ = FaultPlan::new().with_degraded_link(0, 1, 0.0);
     }
 }

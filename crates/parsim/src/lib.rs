@@ -13,12 +13,16 @@
 //! rank count by actual block exchange, bit-identical to the sequential
 //! engine.
 //!
+//! One cost rule prices every rank and link alike: `α + β·len` at both
+//! ends of a message and `γ·flops` per compute, less an optional overlap
+//! credit (see [`machine`]).
+//!
 //! Resilience: [`fault`] is the deterministic fault-injection layer
-//! (rank crashes, frame corruption, degraded links as a config-attached
-//! [`FaultPlan`]), and the [`Recovery`] modes survive injected corruption:
-//! one crate-private frame module owns the XOR-parity frame codec and the
-//! ACK/RETRY re-request protocol that both CAPS and [`exec`] send and
-//! receive through.
+//! (rank crashes at a chosen send and frame corruption as a
+//! config-attached [`FaultPlan`]), and the [`Recovery`] modes survive
+//! injected corruption: one crate-private frame module owns the
+//! XOR-parity frame codec and the ACK/RETRY re-request protocol that both
+//! CAPS and [`exec`] send and receive through.
 
 #![warn(missing_docs)]
 

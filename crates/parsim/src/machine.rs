@@ -30,24 +30,17 @@
 //! runtimes produce identical outputs, counters, and clocks for any
 //! deadlock-free program.
 //!
-//! Beyond the homogeneous α-β-γ machine, the config models heterogeneity
-//! and overlap as data (assumption (2) of the paper's model — no
-//! communication/computation overlap — corresponds to `overlap = 0`, the
-//! default; the paper notes dropping it changes runtimes by at most 2×):
-//!
-//! * [`MachineConfig::with_overlap`] — a fraction of each compute
-//!   interval is banked as credit that hides later communication cost on
-//!   the same rank.
-//! * [`MachineConfig::with_rank_speeds`] — per-rank compute speeds
-//!   (`γ`-time divided by the rank's speed).
-//! * [`MachineConfig::with_link_cost`] — per-directed-link `(α, β)`
-//!   overrides for non-uniform networks.
-//! * [`MachineConfig::with_fault_plan`] — a deterministic
-//!   [`FaultPlan`] of injected rank crashes, frame
-//!   corruptions, and degraded links, enforced identically by both
-//!   runtimes inside this shared facade.
+//! One cost rule prices every operation, the same on every rank and
+//! link: `α + β·len` at both ends of a message and `γ·flops` per compute.
+//! Assumption (2) of the paper's model — no communication/computation
+//! overlap — is `overlap = 0`, the default (the paper notes dropping it
+//! changes runtimes by at most 2×); [`MachineConfig::with_overlap`] banks
+//! that fraction of each compute interval as credit that hides later
+//! communication cost on the same rank. [`MachineConfig::with_fault_plan`]
+//! attaches a deterministic [`FaultPlan`] of injected rank crashes and
+//! frame corruptions, enforced identically by both runtimes inside this
+//! shared facade.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::fault::{FaultPlan, InjectedCrash, InjectedFault, InjectedKind, RankFaults};
@@ -66,12 +59,9 @@ pub enum Runtime {
     Lockstep,
 }
 
-/// Per-directed-link `(α, β)` override table keyed by `(src, dst)`.
-pub type LinkTable = HashMap<(usize, usize), (f64, f64)>;
-
 /// Cost model and size of the machine.
 ///
-/// Cheap to clone: the heterogeneity tables are behind [`Arc`]s.
+/// Cheap to clone: the fault plan is behind an [`Arc`].
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
     /// Number of processors.
@@ -88,12 +78,6 @@ pub struct MachineConfig {
     /// non-overlapping model; `1` hides communication behind all prior
     /// compute.
     pub overlap: f64,
-    /// Per-rank relative compute speeds (length `p`); `None` means every
-    /// rank has speed `1`. A rank with speed `s` spends `γ·flops/s`.
-    pub speeds: Option<Arc<Vec<f64>>>,
-    /// Per-directed-link `(α, β)` overrides; links absent from the map use
-    /// the global `alpha`/`beta`.
-    pub links: Option<Arc<LinkTable>>,
     /// Deterministic fault schedule; `None` injects nothing.
     pub faults: Option<Arc<FaultPlan>>,
     /// Runtime backend executing the ranks.
@@ -109,8 +93,6 @@ impl MachineConfig {
             beta: 0.01,
             gamma: 0.0,
             overlap: 0.0,
-            speeds: None,
-            links: None,
             faults: None,
             runtime: Runtime::Event,
         }
@@ -145,34 +127,6 @@ impl MachineConfig {
         self
     }
 
-    /// Set per-rank compute speeds (must have length `p`, all finite and
-    /// positive). Speed `s` divides the `γ` cost of [`Rank::compute`].
-    pub fn with_rank_speeds(mut self, speeds: Vec<f64>) -> Self {
-        assert_eq!(speeds.len(), self.p, "need one speed per rank");
-        assert!(
-            speeds.iter().all(|s| s.is_finite() && *s > 0.0),
-            "rank speeds must be finite and positive"
-        );
-        self.speeds = Some(Arc::new(speeds));
-        self
-    }
-
-    /// Override the `(α, β)` cost of the directed link `src → dst`.
-    pub fn with_link_cost(mut self, src: usize, dst: usize, alpha: f64, beta: f64) -> Self {
-        assert!(
-            src < self.p && dst < self.p && src != dst,
-            "invalid link ({src}, {dst}) for p = {}",
-            self.p
-        );
-        assert!(
-            alpha.is_finite() && alpha >= 0.0 && beta.is_finite() && beta >= 0.0,
-            "link costs must be finite and non-negative"
-        );
-        let links = self.links.get_or_insert_with(|| Arc::new(HashMap::new()));
-        Arc::make_mut(links).insert((src, dst), (alpha, beta));
-        self
-    }
-
     /// Select the runtime backend.
     pub fn with_runtime(mut self, runtime: Runtime) -> Self {
         self.runtime = runtime;
@@ -188,34 +142,6 @@ impl MachineConfig {
             Some(Arc::new(plan))
         };
         self
-    }
-
-    /// Compute speed of `rank` (1.0 unless overridden).
-    pub fn rank_speed(&self, rank: usize) -> f64 {
-        match &self.speeds {
-            Some(s) => s[rank],
-            None => 1.0,
-        }
-    }
-
-    /// `(α, β)` of the directed link `src → dst` (the global pair unless
-    /// overridden), with any scheduled
-    /// [`DegradeLink`](crate::Fault::DegradeLink) fault folded into `β`.
-    /// Both endpoints consult this, so a degraded link slows the send and
-    /// the receive alike.
-    pub fn link_cost(&self, src: usize, dst: usize) -> (f64, f64) {
-        let (alpha, mut beta) = 'base: {
-            if let Some(links) = &self.links {
-                if let Some(&c) = links.get(&(src, dst)) {
-                    break 'base c;
-                }
-            }
-            (self.alpha, self.beta)
-        };
-        if let Some(plan) = &self.faults {
-            beta *= plan.link_degradation(src, dst);
-        }
-        (alpha, beta)
     }
 }
 
@@ -361,8 +287,6 @@ pub struct Rank {
     /// Number of ranks.
     pub p: usize,
     cfg: MachineConfig,
-    /// This rank's compute speed, resolved once from the config.
-    speed: f64,
     /// Unspent overlap credit (seconds of communication hidable behind
     /// already-performed compute).
     credit: f64,
@@ -381,7 +305,6 @@ pub struct Rank {
 
 impl Rank {
     pub(crate) fn with_endpoint(id: usize, cfg: MachineConfig, endpoint: Endpoint) -> Self {
-        let speed = cfg.rank_speed(id);
         let faults = match &cfg.faults {
             Some(plan) => plan.compile(id),
             None => RankFaults::default(),
@@ -390,7 +313,6 @@ impl Rank {
             id,
             p: cfg.p,
             cfg,
-            speed,
             credit: 0.0,
             endpoint,
             stats: RankStats::default(),
@@ -405,12 +327,6 @@ impl Rank {
         self.stats
     }
 
-    /// Per-rank operation counter (fault-provenance "step"). Advances on
-    /// every send, receive, compute, and sleep.
-    pub fn op_count(&self) -> u64 {
-        self.ops
-    }
-
     /// Unwind with an [`InjectedCrash`] carrying provenance.
     fn injected_panic(&self, kind: InjectedKind, detail: String) -> ! {
         std::panic::panic_any(InjectedCrash {
@@ -421,23 +337,6 @@ impl Rank {
             },
             detail,
         })
-    }
-
-    /// Entry hook shared by every clocked operation: advance the step
-    /// counter and fire a scheduled crash-at-time fault once the virtual
-    /// clock has reached its threshold. Depends only on per-rank state, so
-    /// both runtimes fire it at the identical step.
-    fn fault_step(&mut self) {
-        self.ops += 1;
-        if let Some(t) = self.faults.crash_time {
-            if self.stats.clock >= t {
-                self.faults.crash_time = None;
-                self.injected_panic(
-                    InjectedKind::CrashAtTime,
-                    format!("scheduled crash at virtual time {t}"),
-                );
-            }
-        }
     }
 
     /// Record a locally corrected frame (checksum recovery).
@@ -465,15 +364,17 @@ impl Rank {
             seconds.is_finite() && seconds >= 0.0,
             "sleep duration must be finite and >= 0; got {seconds}"
         );
-        self.fault_step();
+        self.ops += 1;
         self.stats.clock += seconds;
     }
 
-    /// Charge a communication interval of raw cost `t`, consuming overlap
-    /// credit first; returns the clock time actually charged. With
-    /// `overlap = 0` the credit is always zero and `t` is returned
-    /// bit-exactly, reproducing the non-overlapping model.
-    fn charge_comm(&mut self, t: f64) -> f64 {
+    /// Price one end of a message of `len` words: the raw cost
+    /// `t = α + β·len`, less any overlap credit, which is consumed first;
+    /// returns the clock time actually charged. With `overlap = 0` the
+    /// credit is always zero and `t` is returned bit-exactly, reproducing
+    /// the non-overlapping model.
+    fn charge_message(&mut self, len: usize) -> f64 {
+        let t = self.cfg.alpha + self.cfg.beta * len as f64;
         if self.credit > 0.0 {
             let hide = self.credit.min(t);
             self.credit -= hide;
@@ -484,10 +385,10 @@ impl Rank {
     }
 
     /// Send `data` to `to` with a `tag`. Buffered: never blocks. Costs the
-    /// sender `α + β·len` on the `self → to` link (minus overlap credit).
+    /// sender `α + β·len` (minus overlap credit).
     pub fn send(&mut self, to: usize, tag: u64, mut data: Vec<f64>) {
         assert!(to < self.p && to != self.id, "invalid destination {to}");
-        self.fault_step();
+        self.ops += 1;
         // Crash-at-send fires *before* any cost accounting: the send never
         // happens, matching a process dying on entry to the call.
         self.sends_total += 1;
@@ -510,9 +411,7 @@ impl Rank {
             }
         }
         let len = data.len();
-        let (alpha, beta) = self.cfg.link_cost(self.id, to);
-        let cost = alpha + beta * len as f64;
-        let charged = self.charge_comm(cost);
+        let charged = self.charge_message(len);
         self.stats.clock += charged;
         self.stats.words_sent += len as u64;
         self.stats.msgs_sent += 1;
@@ -533,20 +432,18 @@ impl Rank {
     }
 
     /// Blocking receive of the next message from `from` with tag `tag`.
-    /// Completes at `max(own clock, sender completion) + α + β·len` on the
-    /// `from → self` link (minus overlap credit).
+    /// Completes at `max(own clock, sender completion) + α + β·len` (minus
+    /// overlap credit).
     pub fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
         assert!(from < self.p && from != self.id, "invalid source {from}");
-        self.fault_step();
+        self.ops += 1;
         let clock = self.stats.clock;
         let msg = match &mut self.endpoint {
             Endpoint::Lockstep(ep) => ep.recv(from, tag),
             Endpoint::Event(ep) => ep.recv(from, tag, clock),
         };
         let len = msg.data.len();
-        let (alpha, beta) = self.cfg.link_cost(from, self.id);
-        let cost = alpha + beta * len as f64;
-        let charged = self.charge_comm(cost);
+        let charged = self.charge_message(len);
         self.stats.clock = self.stats.clock.max(msg.sent_at) + charged;
         self.stats.words_received += len as u64;
         self.stats.msgs_received += 1;
@@ -559,13 +456,12 @@ impl Rank {
         self.recv(from, tag)
     }
 
-    /// Account `flops` of local computation: `γ·flops` divided by this
-    /// rank's speed, with `overlap ×` that interval banked as credit
-    /// against later communication.
+    /// Account `flops` of local computation: `γ·flops`, with `overlap ×`
+    /// that interval banked as credit against later communication.
     pub fn compute(&mut self, flops: u64) {
-        self.fault_step();
+        self.ops += 1;
         self.stats.flops += flops;
-        let dt = self.cfg.gamma * flops as f64 / self.speed;
+        let dt = self.cfg.gamma * flops as f64;
         self.stats.clock += dt;
         if self.cfg.overlap > 0.0 {
             self.credit += self.cfg.overlap * dt;
@@ -669,31 +565,6 @@ impl Rank {
             step *= 2;
         }
         Some(acc)
-    }
-
-    /// Ring allgather within `group`: everyone contributes `data`, everyone
-    /// returns the concatenation in group order.
-    pub fn allgather(&mut self, group: &[usize], tag: u64, data: Vec<f64>) -> Vec<Vec<f64>> {
-        let me = group
-            .iter()
-            .position(|&r| r == self.id)
-            .expect("rank not in group");
-        let g = group.len();
-        let mut pieces: Vec<Option<Vec<f64>>> = vec![None; g];
-        pieces[me] = Some(data);
-        let next = group[(me + 1) % g];
-        let prev = group[(me + g - 1) % g];
-        for round in 0..g - 1 {
-            let send_idx = (me + g - round) % g;
-            let payload = pieces[send_idx].clone().expect("piece must exist");
-            let got = self.sendrecv(next, tag + round as u64, payload, prev);
-            let recv_idx = (me + g - round - 1) % g;
-            pieces[recv_idx] = Some(got);
-        }
-        pieces
-            .into_iter()
-            .map(|p| p.expect("allgather incomplete"))
-            .collect()
     }
 }
 
@@ -949,25 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn allgather_collects_in_order() {
-        for rt in BOTH {
-            let cfg = MachineConfig::new(4).with_runtime(rt);
-            let res = run_spmd(cfg, |rank| {
-                let group: Vec<usize> = (0..rank.p).collect();
-                let pieces = rank.allgather(&group, 11, vec![rank.id as f64 * 10.0]);
-                pieces.into_iter().flatten().collect::<Vec<f64>>()
-            });
-            for r in 0..4 {
-                assert_eq!(
-                    res.outputs[r],
-                    vec![0.0, 10.0, 20.0, 30.0],
-                    "{rt:?} rank {r}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn barrier_aligns_clocks_and_moves_no_words() {
         // Rank 2 arrives late (large compute); after the barrier every
         // rank's clock is at least rank 2's arrival time, and no words
@@ -1128,43 +980,6 @@ mod tests {
         .expect_err("must fail");
         assert_eq!(err.rank, 2, "genuine panic wins: {err}");
         assert!(err.payload.contains("real failure"), "{err}");
-    }
-
-    #[test]
-    fn link_cost_overrides_apply() {
-        for rt in BOTH {
-            let cfg = MachineConfig::new(2)
-                .with_link_cost(0, 1, 5.0, 1.0)
-                .with_runtime(rt);
-            let res = run_spmd(cfg, |rank| {
-                if rank.id == 0 {
-                    rank.send(1, 0, vec![1.0, 2.0]);
-                } else {
-                    rank.recv(0, 0);
-                }
-                0
-            });
-            // send on the overridden link: 5 + 1·2 = 7; recv (same link):
-            // max(0, 7) + 7 = 14.
-            assert!((res.stats[0].clock - 7.0).abs() < 1e-12, "{rt:?}");
-            assert!((res.stats[1].clock - 14.0).abs() < 1e-12, "{rt:?}");
-        }
-    }
-
-    #[test]
-    fn rank_speeds_scale_compute() {
-        for rt in BOTH {
-            let cfg = MachineConfig::new(2)
-                .with_gamma(1.0)
-                .with_rank_speeds(vec![1.0, 4.0])
-                .with_runtime(rt);
-            let res = run_spmd(cfg, |rank| {
-                rank.compute(100);
-                0
-            });
-            assert!((res.stats[0].clock - 100.0).abs() < 1e-12, "{rt:?}");
-            assert!((res.stats[1].clock - 25.0).abs() < 1e-12, "{rt:?}");
-        }
     }
 
     #[test]

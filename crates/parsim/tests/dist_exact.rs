@@ -148,6 +148,28 @@ fn zero_dimension_operands_gather_the_empty_product() {
 }
 
 #[test]
+fn caps_refuses_operands_it_would_crop() {
+    // CAPS lays out two n × n operands; a non-square or non-conformal
+    // pair is a planning error naming both shapes, never a product of
+    // their leading n × n blocks.
+    let s = strassen();
+    let cfg = DistConfig::new(7);
+    for ((ar, ac), (br, bc)) in [((28, 30), (28, 28)), ((28, 28), (28, 33))] {
+        let a = Matrix::from_fn(ar, ac, |i, j| (i * ac + j) as f64);
+        let b = Matrix::from_fn(br, bc, |i, j| (i * bc + j) as f64);
+        match try_dist_caps(&cfg, &s, &a, &b) {
+            Err(DistError::Plan(msg)) => {
+                assert!(msg.contains(&format!("{ar}x{ac} times {br}x{bc}")), "{msg}")
+            }
+            other => panic!(
+                "{ar}x{ac} * {br}x{bc} must fail planning, got {:?}",
+                other.map(|(c, _)| (c.rows(), c.cols()))
+            ),
+        }
+    }
+}
+
+#[test]
 fn caps_and_generic_engine_agree_bitwise() {
     // Two completely different distributions (layout-optimal shares vs
     // leader-centric exchange) of the same arithmetic: both must equal

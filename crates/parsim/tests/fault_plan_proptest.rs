@@ -1,7 +1,7 @@
 //! Property: **any** `FaultPlan` is deterministic. For an arbitrary
-//! combination of scheduled crashes, frame corruption, degraded links,
-//! and recovery mode, the same plan on the same scheme and rank count
-//! produces a bitwise-identical outcome — the same failure report
+//! combination of a scheduled crash, frame corruption and recovery mode,
+//! the same plan on the same scheme and rank count produces a
+//! bitwise-identical outcome — the same failure report
 //! (rank, payload, injected provenance) when the run dies, the same
 //! gather bits and recovery counters when it survives — across repeated
 //! runs of the event-driven runtime, and across the event-driven and
@@ -58,19 +58,13 @@ fn outcome(res: fastmm_parsim::exec::DistRun) -> Outcome {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn build_plan(
     crash_send: Option<(usize, u64)>,
-    crash_time: Option<(usize, u16)>,
     corrupt: Option<(usize, u64, usize, u32)>,
-    degrade: Option<(usize, u8)>,
 ) -> FaultPlan {
     let mut plan = FaultPlan::new();
     if let Some((rank, nth)) = crash_send {
         plan = plan.with_crash_at_send(rank % P, 1 + nth % 6);
-    }
-    if let Some((rank, t)) = crash_time {
-        plan = plan.with_crash_at_time(rank % P, f64::from(t) * 0.5);
     }
     if let Some((dst, nth, word, bit)) = corrupt {
         // tag None: every 0 → dst frame counts, barriers and control
@@ -78,9 +72,6 @@ fn build_plan(
         // not just well-aimed ones.
         plan =
             plan.with_corrupt_frame(0, 1 + dst % (P - 1), None, 1 + nth % 3, word % 64, bit % 64);
-    }
-    if let Some((dst, factor)) = degrade {
-        plan = plan.with_degraded_link(0, 1 + dst % (P - 1), 1.0 + f64::from(factor));
     }
     plan
 }
@@ -92,9 +83,7 @@ proptest! {
     fn any_plan_is_deterministic_across_runs_and_runtimes(
         seed in any::<u64>(),
         crash_send in (any::<bool>(), 0usize..P, any::<u64>()),
-        crash_time in (any::<bool>(), 0usize..P, 0u16..8),
         corrupt in (any::<bool>(), any::<usize>(), any::<u64>(), any::<usize>(), any::<u32>()),
-        degrade in (any::<bool>(), any::<usize>(), any::<u8>()),
         recovery_pick in 0u8..3,
     ) {
         let s = strassen();
@@ -108,15 +97,12 @@ proptest! {
         };
         let plan = build_plan(
             crash_send.0.then_some((crash_send.1, crash_send.2)),
-            crash_time.0.then_some((crash_time.1, crash_time.2)),
             corrupt.0.then_some((corrupt.1, corrupt.2, corrupt.3, corrupt.4)),
-            degrade.0.then_some((degrade.1, degrade.2)),
         );
-        // Ranks a rule can kill: both crash kinds, and the receiver of a
+        // Ranks a rule can kill: the crash target, and the receiver of a
         // corrupted frame under Detect (it aborts on the bad checksum).
         let mut killed: Vec<usize> = [
             crash_send.0.then_some(crash_send.1 % P),
-            crash_time.0.then_some(crash_time.1 % P),
             (corrupt.0 && recovery == Recovery::Detect).then_some(1 + corrupt.1 % (P - 1)),
         ]
         .into_iter()

@@ -1,6 +1,6 @@
-//! Metamorphic tests of the overlap-aware, heterogeneous cost model.
+//! Metamorphic tests of the overlap-aware cost model.
 //!
-//! The overlap model banks `overlap × γ·flops/speed` of every compute
+//! The overlap model banks `overlap × γ·flops` of every compute
 //! interval as credit and spends it against the raw `α + β·len` cost of
 //! later communication on the same rank. These properties pin it down:
 //!
@@ -9,15 +9,12 @@
 //! * the critical path is monotone **non-increasing** in the overlap
 //!   factor (more credit can only hide more);
 //! * the critical path is monotone **non-decreasing** in β (every charged
-//!   interval can only grow);
-//! * all-equal rank speeds of 1 are **bitwise** the homogeneous machine,
-//!   and uniform power-of-two speedups divide compute time exactly.
+//!   interval can only grow).
 
 use fastmm_matrix::dense::Matrix;
-use fastmm_parsim::cannon::cannon;
 use fastmm_parsim::caps;
 use fastmm_parsim::caps::CapsPlan;
-use fastmm_parsim::machine::{run_spmd, MachineConfig, Runtime};
+use fastmm_parsim::machine::{MachineConfig, Runtime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -99,65 +96,6 @@ fn critical_path_monotone_non_decreasing_in_beta() {
         );
         last = t;
     }
-}
-
-#[test]
-fn all_unit_speeds_match_homogeneous_bitwise() {
-    let n = 28;
-    let (a, b) = operands(n, 0x5EED);
-    let (c_hom, r_hom) = cannon(MachineConfig::new(4).with_gamma(1e-5), &a, &b);
-    let (c_het, r_het) = cannon(
-        MachineConfig::new(4)
-            .with_gamma(1e-5)
-            .with_rank_speeds(vec![1.0; 4]),
-        &a,
-        &b,
-    );
-    assert!(c_hom.bits_eq(&c_het));
-    for (h, s) in r_hom.stats.iter().zip(&r_het.stats) {
-        assert_eq!(h.clock.to_bits(), s.clock.to_bits());
-    }
-}
-
-#[test]
-fn uniform_power_of_two_speedup_divides_compute_exactly() {
-    // With α = β = 0 the clock is pure compute: doubling every rank's
-    // speed must halve every clock exactly (powers of two commute with
-    // f64 rounding).
-    let cfg = |speed: f64| {
-        MachineConfig::new(3)
-            .with_alpha(0.0)
-            .with_beta(0.0)
-            .with_gamma(0.37)
-            .with_rank_speeds(vec![speed; 3])
-    };
-    let program = |rank: &mut fastmm_parsim::Rank| {
-        rank.compute(1000 + 17 * rank.id as u64);
-        0
-    };
-    let r1 = run_spmd(cfg(1.0), program);
-    let r2 = run_spmd(cfg(2.0), program);
-    for (s1, s2) in r1.stats.iter().zip(&r2.stats) {
-        assert_eq!((s1.clock / 2.0).to_bits(), s2.clock.to_bits());
-    }
-}
-
-#[test]
-fn slow_rank_stretches_the_critical_path() {
-    // Heterogeneity must actually show up in the critical path: one rank
-    // at quarter speed lifts the CAPS critical path above homogeneous
-    // (its compute sits on every dependency chain through its shares).
-    let n = 56;
-    let hom = caps_critical_path(MachineConfig::new(7).with_gamma(1e-4), n);
-    let mut speeds = vec![1.0; 7];
-    speeds[3] = 0.25;
-    let het = caps_critical_path(
-        MachineConfig::new(7)
-            .with_gamma(1e-4)
-            .with_rank_speeds(speeds),
-        n,
-    );
-    assert!(het > hom, "slow rank must stretch the path: {het} !> {hom}");
 }
 
 #[test]

@@ -9,9 +9,9 @@
 //! [`ScratchArena`] that stays warm across batches — the first job of a
 //! shape class pays the allocations, every subsequent job of that class
 //! runs the zero-allocation hot path — and is trimmed back to
-//! [`EngineConfig::max_retained_words`] between batches so one giant
-//! request does not pin its high-water scratch set for the life of the
-//! worker.
+//! [`DEFAULT_MAX_RETAINED_WORDS`] of idle capacity after every work item
+//! so one giant request does not pin its high-water scratch set for the
+//! life of the worker.
 //!
 //! ## Batched dispatch
 //!
@@ -61,7 +61,7 @@ use fastmm_matrix::ScratchArena;
 /// Default bound on queued (submitted, not yet completed) jobs.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 
-/// Default per-worker idle arena retention between batches: 2²² words
+/// Per-worker idle arena retention between work items: 2²² words
 /// (32 MiB of `f64`) — enough to keep mid-size shape classes warm without
 /// letting one giant request pin its high-water scratch set for the life
 /// of the worker.
@@ -81,9 +81,6 @@ pub struct EngineConfig {
     pub cutoff: usize,
     /// Maximum in-flight jobs before [`EngineHandle::submit`] rejects.
     pub queue_capacity: usize,
-    /// Idle arena words each worker retains between batches
-    /// ([`ScratchArena::trim`] bound).
-    pub max_retained_words: usize,
     /// How many times a job that panicked is retried (in place, on a
     /// fresh arena) before it resolves to [`JobError::WorkerPanicked`].
     pub max_job_retries: u32,
@@ -91,13 +88,12 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// A config with `workers` shards and the default queue capacity,
-    /// auto cutoff, and default retention and retry bounds.
+    /// auto cutoff, and default retry bound.
     pub fn new(workers: usize) -> Self {
         EngineConfig {
             workers,
             cutoff: 0,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            max_retained_words: DEFAULT_MAX_RETAINED_WORDS,
             max_job_retries: DEFAULT_MAX_JOB_RETRIES,
         }
     }
@@ -111,12 +107,6 @@ impl EngineConfig {
     /// Replace the queue capacity (jobs).
     pub fn with_queue_capacity(mut self, jobs: usize) -> Self {
         self.queue_capacity = jobs;
-        self
-    }
-
-    /// Replace the per-worker idle retention bound (words).
-    pub fn with_max_retained_words(mut self, words: usize) -> Self {
-        self.max_retained_words = words;
         self
     }
 
@@ -381,14 +371,11 @@ impl EngineHandle {
             let (tx, rx) = channel::<WorkUnit>();
             let schemes = Arc::clone(&schemes);
             let in_flight = Arc::clone(&in_flight);
-            let max_retained = config.max_retained_words;
             let max_retries = config.max_job_retries;
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("fastmm-serve-{shard}"))
-                    .spawn(move || {
-                        shard_loop(rx, &schemes, cutoff, max_retained, max_retries, &in_flight)
-                    })
+                    .spawn(move || shard_loop(rx, &schemes, cutoff, max_retries, &in_flight))
                     .expect("spawning worker shard"),
             );
             senders.push(tx);
@@ -540,7 +527,6 @@ fn shard_loop(
     rx: Receiver<WorkUnit>,
     schemes: &[BilinearScheme],
     cutoff: usize,
-    max_retained_words: usize,
     max_job_retries: u32,
     in_flight: &AtomicUsize,
 ) {
@@ -586,6 +572,6 @@ fn shard_loop(
         // The ticket may have been dropped; completing is still correct.
         let _ = unit.results.send((unit.slot, result));
         // Between units: bound what an idle shard keeps warm.
-        arena.trim(max_retained_words);
+        arena.trim(DEFAULT_MAX_RETAINED_WORDS);
     }
 }
