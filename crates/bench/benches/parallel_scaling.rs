@@ -5,7 +5,9 @@
 //!
 //! Reported parallel speedups are bounded by the physical core count —
 //! `std::thread::available_parallelism` is printed so a 1-core CI box's
-//! flat curve is interpretable. `FASTMM_CUTOFF` pins the base-case size.
+//! flat curve is interpretable. The cutoff is pinned at 64, as in e10:
+//! at the default cutoff the n = 512 group would not recurse, so its
+//! parallel engine would plan one task and time nothing parallel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fastmm_matrix::dense::Matrix;
@@ -23,7 +25,7 @@ fn bench_parallel_scaling(c: &mut Criterion) {
             .unwrap_or(1)
     );
     let scheme = strassen();
-    let cutoff = fastmm_matrix::tune::default_cutoff();
+    let cutoff = 64;
     let mut group = c.benchmark_group("parallel_strassen");
     group.sample_size(3);
     for &n in &[512usize, 2048] {

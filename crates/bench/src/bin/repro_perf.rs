@@ -1,13 +1,16 @@
-//! E11 — sequential fast MM vs classical packed GEMM: per n, the packed
-//! kernel unrecursed next to Strassen and Winograd at the tuned cutoff,
-//! GFLOP/s and modeled words vs the Theorem 1.1 bound, written
-//! machine-readably to `target/BENCH_seq.json`.
+//! E11 — the price of each recursion level: per n, the packed kernel
+//! unrecursed next to Strassen and Winograd at every depth down to
+//! 256-wide leaves, timed in interleaved rounds, with the paired ratio to
+//! the unrecursed kernel, the error against its product, and modeled
+//! words vs the Theorem 1.1 bound, written machine-readably to
+//! `target/BENCH_seq.json`.
 //!
-//! Usage: `repro_perf [n...]` — positive problem sizes, default
-//! 256/512/1024. `FASTMM_CUTOFF` pins the base-case cutoff. Refresh the
-//! committed copy with `cp target/BENCH_seq.json .`.
+//! Usage: `repro_perf [n...]` — problem sizes of at least 2 (the
+//! smallest that recurses), default 256/512/1024. `FASTMM_CUTOFF` pins
+//! the cutoff whose depth is marked. Refresh the committed copy with
+//! `repro_perf 1024 2048 4096 && cp target/BENCH_seq.json .`.
 fn main() {
-    let (ns, _) = fastmm_bench::parse_argv("[n...]", None, usize::MAX, |_| true);
+    let (ns, _) = fastmm_bench::parse_argv("[n...]", None, usize::MAX, |n| n >= 2);
     let ns = if ns.is_empty() {
         vec![256, 512, 1024]
     } else {

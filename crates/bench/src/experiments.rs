@@ -591,121 +591,198 @@ pub fn e10_parallel(n: usize, thread_counts: &[usize]) -> String {
     out
 }
 
-/// E11 — sequential fast MM against its real baseline: per `n`, one
-/// `classical` row (`multiply_scheme` at cutoff = `n`: the packed
-/// micro-kernel with no recursion, i.e. plain classical GEMM) and one row
-/// per fast scheme at the tuned cutoff (`FASTMM_CUTOFF` or the compiled
-/// default), with recursion levels, wall time, effective GFLOP/s
-/// (classical-equivalent `2n³` flops), `vs_classical` (classical time /
-/// row time: above 1 the recursion pays), and the engine's modeled word
-/// traffic ([`fastmm_memsim::explicit::dfs_arena_io_recurrence_mkn`] via
-/// [`seq_exec_report`]) against the Theorem 1.1/1.3 floor — both evaluated
-/// at `M = 3·cutoff²`, where the recursion bottoms out.
+/// Timed rounds per e11 row: odd, so the median is one of the calls.
+pub const E11_ROUNDS: usize = 7;
+
+/// E11 — the price of each recursion level, against the real baseline:
+/// per `n`, one `classical` row (`multiply_scheme` at cutoff = `n`: the
+/// packed micro-kernel with no recursion, i.e. plain classical GEMM) and,
+/// per fast scheme, one row per recursion depth. Depth `d` runs at the
+/// side of the engine's own level-`d` subproblem as its cutoff, so it
+/// recurses exactly `d` levels. The depths run from 1 down to
+/// [`fastmm_matrix::pack::KC`]-wide leaves (the kernel's packed panel
+/// depth), at least 2 and at least the depth the resolved cutoff
+/// (`FASTMM_CUTOFF` or the compiled default) runs; that default's row is
+/// marked, and it is the `classical` row when the default does not
+/// recurse at `n`.
 ///
-/// Every scheme row's product is checked against the classical product
-/// to `1e-9·n` before any time is reported, so a speedup row can never
-/// come from a wrong product. Each row gets one untimed warm-up (the run
-/// the check uses, so first-touch page faults and cache warm-up are
-/// charged to nobody) and its reported time is the min of two timed
-/// repetitions.
+/// The rows of one `n` are timed in [`E11_ROUNDS`] interleaved rounds,
+/// one call per row per round in an order that rotates every round, so
+/// host noise lands on every row alike. Each row reports the min and
+/// median of its calls, `vs_classical` (the median over rounds of the
+/// paired ratio classical time / row time: above 1 the recursion pays)
+/// and its spread (the ratios' interquartile range over that median),
+/// the rounds in which it beat `classical`, its max-abs difference from the
+/// classical product, and the engine's modeled word traffic
+/// ([`fastmm_memsim::explicit::dfs_arena_io_recurrence_mkn`] via
+/// [`seq_exec_report`]) against the Theorem 1.1/1.3 floor, both at
+/// `M = 3·cutoff²`, where the recursion bottoms out.
+///
+/// Every row's product is checked against the classical product to
+/// `1e-9·n` before any time is taken, so a speedup row can never come
+/// from a wrong product; that check's call is the row's untimed warm-up.
 ///
 /// Returns the report and its `BENCH_seq.json` rows: one JSON object per
-/// (scheme, n) row.
+/// (scheme, n, depth) row.
+///
+/// # Panics
+///
+/// If a fast scheme has no row whose recursion splits at some `n` (only
+/// `n = 1` has none): a run that times no recursion must not pass for one
+/// that does.
 pub fn e11_repro_perf(ns: &[usize]) -> (String, Vec<String>) {
     use fastmm_matrix::arena::{child_shape, splits};
-    use fastmm_matrix::pack::active_simd_level;
+    use fastmm_matrix::pack::{active_simd_level, KC};
     use std::time::Instant;
     let simd = active_simd_level();
     let fused = cfg!(feature = "fma");
+    let cutoff = resolve_cutoff(0);
     let mut out = String::new();
-    out.push_str("E11 Sequential perf: fast schemes vs classical packed GEMM (no recursion)\n");
+    out.push_str(
+        "E11 Sequential perf: the price of each recursion level vs classical packed GEMM\n",
+    );
     out.push_str(&format!(
-        "  simd={simd} fma={fused}; GFLOP/s uses classical-equivalent flops 2n^3; words\n"
+        "  simd={simd} fma={fused} resolved cutoff={cutoff} rounds={E11_ROUNDS}; GFLOP/s at \
+         the min, classical-equivalent flops 2n^3\n"
     ));
     out.push_str("  model = arena DFS recurrence at M=3*cutoff^2 vs bound=(n/sqrtM)^w0*M\n");
     out.push_str(
-        "  scheme                n     cutoff  levels  time(s)    GFLOP/s  vs_classical  \
-         words_model     bound        model/bound\n",
+        "  scheme     n     levels  cutoff  min(s)     median(s)  GFLOP/s  vs_classical  \
+         spread  won  max_abs_diff  words_model  bound        model/bound\n",
     );
-    let cutoff = resolve_cutoff(0);
+    let levels = |scheme: &BilinearScheme, n: usize, cutoff: usize| {
+        let (mut shape, mut levels) = ((n, n, n), 0usize);
+        while splits(scheme.dims(), shape, cutoff) {
+            shape = child_shape(scheme.dims(), shape);
+            levels += 1;
+        }
+        levels
+    };
+    // Row cutoffs for depths 1, 2, ...: the side of each level's
+    // subproblem, for as long as the recursion still splits there.
+    let depth_cutoffs = |scheme: &BilinearScheme, n: usize| {
+        let deepest = levels(scheme, n, KC).max(levels(scheme, n, cutoff)).max(2);
+        let (mut shape, mut cutoffs) = ((n, n, n), Vec::new());
+        while cutoffs.len() < deepest {
+            let child = child_shape(scheme.dims(), shape);
+            let side = child.0.max(child.1).max(child.2);
+            if !splits(scheme.dims(), shape, side) {
+                break;
+            }
+            cutoffs.push(side);
+            shape = child;
+        }
+        cutoffs
+    };
     let classical = classical_scheme(2);
     let schemes = [strassen(), winograd()];
     let mut json_rows: Vec<String> = Vec::new();
-    let time_min = |f: &dyn Fn() -> Matrix<f64>| {
-        (0..2)
-            .map(|_| {
-                let t = Instant::now();
-                std::hint::black_box(f());
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
     for &n in ns {
         let mut rng = StdRng::seed_from_u64(0xE11 + n as u64);
         let a = Matrix::<f64>::random(n, n, &mut rng);
         let b = Matrix::<f64>::random(n, n, &mut rng);
         let flops = 2.0 * (n as f64).powi(3);
-        // Untimed warm-up run of the baseline; its product is the
-        // reference every scheme row is checked against.
+        // The baseline's untimed warm-up; its product is the reference
+        // every other row is checked against.
         let reference = multiply_scheme(&classical, &a, &b, n);
-        let classical_secs = time_min(&|| multiply_scheme(&classical, &a, &b, n));
-        let mut rows = vec![("classical", &classical, n, classical_secs)];
+        let mut rows = vec![("classical", &classical, 0, n, 0.0)];
         for scheme in &schemes {
-            let product = multiply_scheme(scheme, &a, &b, cutoff);
-            let tol = 1e-9 * n as f64;
+            let cutoffs = depth_cutoffs(scheme, n);
             assert!(
-                product.max_abs_diff(&reference, |x| x) < tol,
-                "{} n={n}: product drifted past {tol:e} from the classical product",
+                !cutoffs.is_empty(),
+                "{} n={n}: no cutoff splits the recursion, so no row would time it",
                 scheme.name
             );
-            rows.push((
-                scheme.name.as_str(),
-                scheme,
-                cutoff,
-                time_min(&|| multiply_scheme(scheme, &a, &b, cutoff)),
-            ));
-        }
-        for (label, scheme, row_cutoff, secs) in rows {
-            let mut levels = 0usize;
-            let mut shape = (n, n, n);
-            while splits(scheme.dims(), shape, row_cutoff) {
-                shape = child_shape(scheme.dims(), shape);
-                levels += 1;
+            for (depth, row_cutoff) in (1..).zip(cutoffs) {
+                assert_eq!(levels(scheme, n, row_cutoff), depth);
+                let diff =
+                    multiply_scheme(scheme, &a, &b, row_cutoff).max_abs_diff(&reference, |x| x);
+                let tol = 1e-9 * n as f64;
+                assert!(
+                    diff < tol,
+                    "{} n={n} depth {depth}: product drifted {diff:e} (past {tol:e}) from \
+                     the classical product",
+                    scheme.name
+                );
+                rows.push((scheme.name.as_str(), scheme, depth, row_cutoff, diff));
             }
+        }
+        let mut times = vec![Vec::with_capacity(E11_ROUNDS); rows.len()];
+        for round in 0..E11_ROUNDS {
+            for i in (0..rows.len()).map(|i| (i + round) % rows.len()) {
+                let (_, scheme, _, row_cutoff, _) = rows[i];
+                let t = Instant::now();
+                let c = multiply_scheme(scheme, &a, &b, row_cutoff);
+                times[i].push(t.elapsed().as_secs_f64());
+                std::hint::black_box(c);
+            }
+        }
+        // Both fast schemes are 2×2×2, so the default runs one depth for both.
+        let default_levels = levels(&schemes[0], n, cutoff);
+        for (&(label, scheme, depth, row_cutoff, diff), row_times) in rows.iter().zip(&times) {
+            let mut sorted = row_times.clone();
+            sorted.sort_by(f64::total_cmp);
+            let (min, median) = (sorted[0], percentile(&sorted, 0.5));
+            let mut ratios: Vec<f64> = times[0].iter().zip(row_times).map(|(c, t)| c / t).collect();
+            ratios.sort_by(f64::total_cmp);
+            let vs_classical = percentile(&ratios, 0.5);
+            let spread = (percentile(&ratios, 0.75) - percentile(&ratios, 0.25)) / vs_classical;
+            let won = times[0]
+                .iter()
+                .zip(row_times)
+                .filter(|(c, t)| t < c)
+                .count();
+            let default = depth == default_levels;
             let rep = seq_exec_report(scheme, n, row_cutoff);
-            let vs_classical = classical_secs / secs;
             out.push_str(&format!(
-                "  {:<21} {:<5} {:<7} {:<7} {:<10.4} {:<8.3} {:<13} {:<15.4e} {:<12.4e} {:.3}\n",
+                "  {:<10} {:<5} {:<7} {:<7} {:<10.6} {:<10.6} {:<8.2} {:<13} {:<7.3} \
+                 {:<4} {:<13.2e} {:<12.4e} {:<12.4e} {:.3}\n",
                 label,
                 n,
-                rep.cutoff,
-                levels,
-                secs,
-                flops / secs / 1e9,
-                format!("{vs_classical:.2}x"),
+                format!("{depth}{}", if default { "*" } else { "" }),
+                row_cutoff,
+                min,
+                median,
+                flops / min / 1e9,
+                format!("{vs_classical:.3}x"),
+                spread,
+                won,
+                diff,
                 rep.arena_words,
                 rep.seq_bound_words,
                 rep.arena_words / rep.seq_bound_words
             ));
             json_rows.push(format!(
-                "{{\"scheme\": {:?}, \"n\": {n}, \"cutoff\": {}, \"levels\": {levels}, \
-                 \"simd\": \"{simd}\", \"fma\": {fused}, \"seconds\": {secs:.6}, \
-                 \"gflops\": {:.4}, \"vs_classical\": {vs_classical:.4}, \
-                 \"words_model\": {:.1}, \"bound_words\": {:.1}}}",
+                "{{\"scheme\": {:?}, \"n\": {n}, \"levels\": {depth}, \"cutoff\": {row_cutoff}, \
+                 \"default\": {default}, \"simd\": \"{simd}\", \"fma\": {fused}, \
+                 \"rounds\": {E11_ROUNDS}, \"min_s\": {min:.6}, \"median_s\": {median:.6}, \
+                 \"gflops\": {:.4}, \"vs_classical\": {vs_classical:.4}, \"spread\": {spread:.4}, \
+                 \"won\": {won}, \"max_abs_diff\": {diff:.3e}, \"words_model\": {:.1}, \
+                 \"bound_words\": {:.1}}}",
                 label,
-                rep.cutoff,
-                flops / secs / 1e9,
+                flops / min / 1e9,
                 rep.arena_words,
                 rep.seq_bound_words
             ));
         }
     }
-    out.push_str(
-        "  (every scheme row is checked against the classical row's product to 1e-9*n \
-         before timing; vs_classical = classical time / row time; model/bound flat \
-         across n = the Eq. 1 shape)\n",
-    );
+    out.push_str(&format!(
+        "  (* = the depth the resolved cutoff {cutoff} runs; every row is checked against \
+         the classical row's product to 1e-9*n before timing; vs_classical = median over \
+         rounds of classical time / row time, spread = its IQR/median, won = rounds faster \
+         than classical; model/bound flat across n = the Eq. 1 shape)\n"
+    ));
     (out, json_rows)
+}
+
+/// The `q`-quantile of an ascending sample, by nearest rank (0 for an
+/// empty sample).
+fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// E12 — distributed-memory execution on simulated ranks: CAPS, Cannon,
@@ -1164,13 +1241,6 @@ pub fn e13_serve(
         "  n      batch  workers  mult/s     p50(ms)   p99(ms)   share_words/worker  \
          share/job_bound\n",
     );
-    let percentile = |sorted: &[f64], q: f64| -> f64 {
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-        sorted[idx.min(sorted.len() - 1)]
-    };
     let mut json_rows: Vec<String> = Vec::new();
     for &n in ns {
         for &batch in batches {

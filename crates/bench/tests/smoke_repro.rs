@@ -141,30 +141,35 @@ fn e10_golden_header_and_bound_formulas() {
 #[test]
 fn e11_perf_trajectory_smoke() {
     // repro_perf defaults to n = 256/512/1024; the report's shape (and the
-    // internal scheme-vs-classical accuracy check) is complete at small n.
-    assert_report(
-        "e11",
-        &exp::e11_repro_perf(&[64, 96]).0,
-        "Sequential perf",
-        8,
-    );
+    // internal per-depth accuracy check) is complete at small n. n = 96
+    // pads: its depths run at cutoffs 48 and 24.
+    let out = exp::e11_repro_perf(&[64, 96]).0;
+    assert_report("e11", &out, "the price of each recursion level", 12);
+    for row in ["strassen   96    2       24", "winograd   96    1       48"] {
+        assert!(out.contains(row), "e11: missing depth row {row:?}:\n{out}");
+    }
 }
 
 #[test]
 fn e11_golden_header_rows_and_json_emit() {
-    // Golden check: headline columns, the classical baseline plus both
-    // schemes per n, the bound formula, and the BENCH_seq.json rows. The
-    // bound formula string must stay verbatim (downstream tooling greps
-    // for it, as with e10).
+    // Golden check: headline columns, the classical baseline plus depths
+    // 1 and 2 of both schemes, the bound formula, and the BENCH_seq.json
+    // rows. The bound formula string must stay verbatim (downstream
+    // tooling greps for it, as with e10).
     let (out, rows) = exp::e11_repro_perf(&[64]);
     for needle in [
         "GFLOP/s",
         "vs_classical",
         "levels",
+        "median(s)",
+        "spread",
+        "won",
+        "max_abs_diff",
         "words_model",
         "simd=",
         "bound=(n/sqrtM)^w0*M",
         "checked against the classical row",
+        "* = the depth the resolved cutoff",
     ] {
         assert!(
             out.contains(needle),
@@ -182,8 +187,15 @@ fn e11_golden_header_rows_and_json_emit() {
         "\"scheme\": \"classical\"",
         "\"scheme\": \"strassen\"",
         "\"scheme\": \"winograd\"",
-        "\"levels\"",
+        "\"levels\": 2",
+        "\"default\": true",
+        "\"rounds\"",
+        "\"min_s\"",
+        "\"median_s\"",
+        "\"spread\"",
         "\"vs_classical\"",
+        "\"won\"",
+        "\"max_abs_diff\"",
         "\"simd\"",
         "\"gflops\"",
         "\"words_model\"",
@@ -195,8 +207,21 @@ fn e11_golden_header_rows_and_json_emit() {
             "BENCH_seq.json missing {needle}:\n{json}"
         );
     }
-    // one object per (scheme, n) row, the classical baseline included
-    assert_eq!(rows.len(), 3);
+    // one object per (scheme, depth) row: classical, then depths 1 and 2
+    // of both schemes; the compiled default cutoff (`FASTMM_CUTOFF`
+    // unset) does not recurse at n = 64, so the classical row is the
+    // marked one
+    assert_eq!(rows.len(), 5);
+    assert_eq!(
+        rows.iter()
+            .filter(|r| r.contains("\"default\": true"))
+            .count(),
+        1
+    );
+    assert!(rows[0].contains("\"default\": true"), "{}", rows[0]);
+    for (row, levels) in rows.iter().zip([0, 1, 2, 1, 2]) {
+        assert!(row.contains(&format!("\"levels\": {levels},")), "{row}");
+    }
 }
 
 #[test]
@@ -484,7 +509,7 @@ fn repro_distributed_rejects_malformed_arguments_with_status_2() {
         (env!("CARGO_BIN_EXE_repro_lemma43_expansion"), &["0"]),
         (env!("CARGO_BIN_EXE_repro_parallel"), &[]),
         (env!("CARGO_BIN_EXE_repro_partition_bound"), &[]),
-        (env!("CARGO_BIN_EXE_repro_perf"), &["0"]),
+        (env!("CARGO_BIN_EXE_repro_perf"), &["0", "1"]),
         (env!("CARGO_BIN_EXE_repro_rectangular"), &[]),
         (env!("CARGO_BIN_EXE_repro_serve"), &["0"]),
         (env!("CARGO_BIN_EXE_repro_table1_parallel"), &[]),

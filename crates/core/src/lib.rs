@@ -68,7 +68,7 @@ pub mod prelude {
         classical_rect, classical_scheme, strassen, strassen_2x2x4, winograd, winograd_2x4x2,
         BilinearScheme,
     };
-    pub use fastmm_matrix::tune::{calibrate_cutoff, default_cutoff, resolve_cutoff};
+    pub use fastmm_matrix::tune::{default_cutoff, resolve_cutoff};
     pub use fastmm_matrix::{Fp, MatMut, MatRef, Matrix, Scalar};
     pub use fastmm_parsim::{
         caps_plan_for_budget, dist_caps, dist_multiply, CapsPlan, DistConfig, MachineConfig,

@@ -26,8 +26,8 @@
 //! * [`parallel`] — the shared-memory engine (one task stack shared by
 //!   every thread) with the CAPS-style memory-aware BFS/DFS schedule,
 //!   bit-identical to the sequential engine at every thread count;
-//! * [`tune`] — base-case cutoff selection (`FASTMM_CUTOFF`, calibration
-//!   micro-search).
+//! * [`tune`] — base-case cutoff selection (`FASTMM_CUTOFF`, and the
+//!   compiled default read off e11's per-depth timings).
 
 #![warn(missing_docs)]
 

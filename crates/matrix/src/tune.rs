@@ -3,12 +3,12 @@
 //! The recursion switches to the packed micro-kernel
 //! ([`crate::pack::multiply_packed_into`]) once every dimension is
 //! `≤ cutoff` — the practical "cut the recursion off" hybrid of the
-//! paper's Section 5.2. The packed kernel's GFLOP/s keeps *rising* with
-//! the base-case side (register tiling and packing amortize better on
-//! deeper inner dimensions), while one more recursion level saves only
-//! `1 - r/(m·k·n)` of the flops (12.5% for Strassen), so the optimal
-//! cutoff is much larger than the old cache-blocked kernel's; this module
-//! provides the selection policy:
+//! paper's Section 5.2. A level pays only if its flop saving,
+//! `1 − r/(m·k·n)` of the work below it (12.5 % for Strassen), outweighs
+//! its encode and decode traffic. That price is measured, not modeled:
+//! experiment e11 (`repro_perf`) times every recursion depth against the
+//! unrecursed kernel, and [`DEFAULT_CUTOFF`] is read off its table. This
+//! module holds the policy:
 //!
 //! * [`try_cutoff_from_env`] — the `FASTMM_CUTOFF` environment override,
 //!   the one variable the crate reads, validated by its one env parser
@@ -18,9 +18,7 @@
 //!   silently defaulted;
 //! * [`default_cutoff`] — env override or the compiled default
 //!   [`DEFAULT_CUTOFF`];
-//! * [`resolve_cutoff`] — an explicit caller value, else the default;
-//! * [`calibrate_cutoff`] — a timed micro-search over candidate cutoffs on
-//!   a probe problem, for machines where the compiled default is wrong.
+//! * [`resolve_cutoff`] — an explicit caller value, else the default.
 //!
 //! Changing the cutoff changes *where* the recursion stops, never the
 //! arithmetic order within either regime, so any cutoff yields a correct
@@ -28,17 +26,19 @@
 //! each other over floats (the recursion reassociates), which is why the
 //! determinism suite pins engine pairs at equal cutoffs.
 
-use crate::arena::{multiply_into, ScratchArena};
-use crate::dense::Matrix;
-use crate::scheme::BilinearScheme;
-
-/// Compiled default base-case side, sized against the packed micro-kernel
-/// ([`crate::pack`]): its measured f64 throughput roughly doubles from a
-/// `64³` to a `256³` base case (the packed panels amortize over a deeper
-/// inner dimension), which outweighs the `r/(m·k·n)` flop saving of one
-/// more recursion level, while a `256²` output tile plus pack buffers
-/// still fits L2. The old cache-blocked kernel's default was 64.
-pub const DEFAULT_CUTOFF: usize = 256;
+/// Compiled default base-case side, read off e11's per-depth table
+/// (`BENCH_seq.json` at n ∈ {1024, 2048, 4096}, one AVX-512 core). There
+/// a level down to 256-wide leaves costs more in encode and decode
+/// traffic than its flop saving buys (at n = 1024 and 4096; n = 2048 is
+/// within that run's noise), so the recursion stops at 512-wide leaves:
+/// Strassen runs no level at n = 512, one at 1024, two at 2048
+/// and three at 4096. Stopping at 1024-wide leaves measured faster still
+/// at n = 2048; ROADMAP item 2 records why it waits.
+///
+/// The repository benchmark's `seq-2048` workload (`perfbench/`) reads
+/// this constant as its fast arm's cutoff, so changing it changes what
+/// that workload times.
+pub const DEFAULT_CUTOFF: usize = 512;
 
 /// Largest cutoff `FASTMM_CUTOFF` accepts. A base case this size is
 /// already far beyond any cache (3·65536² words ≈ 100 GiB of f64), so
@@ -120,76 +120,10 @@ fn resolve_with(requested: usize, lookup: impl Fn(&str) -> Option<String>) -> us
         .unwrap_or(DEFAULT_CUTOFF)
 }
 
-/// Candidate cutoffs [`calibrate_cutoff`] times, ascending. 256 entered
-/// with the packed micro-kernel, whose throughput still rises there.
-pub const CALIBRATE_CANDIDATES: [usize; 6] = [8, 16, 32, 64, 128, 256];
-
-/// Timed micro-search for the fastest base-case cutoff of `scheme` on this
-/// machine: runs the arena engine (and therefore the packed micro-kernel
-/// base case) on a deterministic `probe_n x probe_n` `f64` multiply at
-/// each candidate in [`CALIBRATE_CANDIDATES`]` ∩ [1, probe_n]` and returns
-/// the argmin.
-///
-/// **Repetition policy:** each candidate gets one untimed warm-up (fills
-/// the arena pool and the caches) followed by **three timed repetitions
-/// scored by their minimum** — the min, not the mean, because timing
-/// noise on a shared machine is strictly additive (preemption, cache
-/// eviction), so the smallest sample is the best estimate of the true
-/// cost. A single-repetition argmin (the pre-fix behavior) flipped
-/// run-to-run under that noise. Ties break toward the **smaller** cutoff,
-/// deterministically: candidates are visited in ascending order and a
-/// later candidate must be *strictly* faster to displace the incumbent.
-///
-/// The search is a measurement, so the returned value can vary across
-/// machines and runs — that is the point. Use it once per deployment and
-/// pin the winner via `FASTMM_CUTOFF`; never calibrate inside a path that
-/// needs run-to-run bit-reproducibility at unpinned cutoffs.
-pub fn calibrate_cutoff(scheme: &BilinearScheme, probe_n: usize) -> usize {
-    let probe_n = probe_n.max(8);
-    let a = Matrix::from_fn(probe_n, probe_n, |i, j| {
-        ((i * 31 + j * 17) % 61) as f64 / 61.0 - 0.5
-    });
-    let b = Matrix::from_fn(probe_n, probe_n, |i, j| {
-        ((i * 13 + j * 41) % 53) as f64 / 53.0 - 0.5
-    });
-    let mut arena: ScratchArena<f64> = ScratchArena::new();
-    let mut c = Matrix::zeros(probe_n, probe_n);
-    let mut run = |cutoff: usize| {
-        c.view_mut().fill_zero();
-        multiply_into(
-            scheme,
-            a.view(),
-            b.view(),
-            &mut c.view_mut(),
-            cutoff,
-            &mut arena,
-        );
-    };
-    // Seed with the compiled constant, not default_cutoff(): calibration
-    // measures, so it must not depend on FASTMM_CUTOFF, and the loop
-    // below always runs at least once (probe_n >= 8), overwriting the
-    // seed.
-    let mut best = (f64::INFINITY, DEFAULT_CUTOFF.min(probe_n));
-    for &cutoff in CALIBRATE_CANDIDATES.iter().filter(|&&c| c <= probe_n) {
-        run(cutoff); // untimed warm-up
-        let mut secs = f64::INFINITY;
-        for _ in 0..3 {
-            let start = std::time::Instant::now();
-            run(cutoff);
-            secs = secs.min(start.elapsed().as_secs_f64());
-        }
-        // Strict `<` plus ascending candidate order = deterministic
-        // tie-break toward the smaller cutoff.
-        if secs < best.0 {
-            best = (secs, cutoff);
-        }
-    }
-    best.1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::{child_shape, splits};
     use crate::scheme::strassen;
 
     /// A variable lookup over fixed `(name, value)` pairs — what tests pass
@@ -253,15 +187,18 @@ mod tests {
     }
 
     #[test]
-    fn calibrate_returns_a_candidate_within_probe() {
-        let c = calibrate_cutoff(&strassen(), 64);
-        assert!([8, 16, 32, 64].contains(&c), "got {c}");
-    }
-
-    #[test]
-    fn calibrate_candidates_are_ascending_for_the_tie_break() {
-        // The documented tie-break (toward the smaller cutoff) relies on
-        // visiting candidates in ascending order with a strict `<`.
-        assert!(CALIBRATE_CANDIDATES.windows(2).all(|w| w[0] < w[1]));
+    fn default_cutoff_runs_two_strassen_levels_at_2048() {
+        // The depth the default picks, counted the way the engine
+        // recurses: no level at 512, then one more per doubling of n.
+        let dims = strassen().dims();
+        let levels = |n: usize| {
+            let (mut shape, mut levels) = ((n, n, n), 0);
+            while splits(dims, shape, DEFAULT_CUTOFF) {
+                shape = child_shape(dims, shape);
+                levels += 1;
+            }
+            levels
+        };
+        assert_eq!([512, 1024, 2048, 4096].map(levels), [0, 1, 2, 3]);
     }
 }
