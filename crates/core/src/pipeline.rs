@@ -525,6 +525,15 @@ mod tests {
         assert!((r1 / r2 - 1.0).abs() < 0.15, "ratios {r1} vs {r2}");
         // explicit cutoff wins over auto resolution
         assert_eq!(seq_exec_report(&s, 256, 32).cutoff, 32);
+        // A ragged side is modeled as the engine runs it, zero-extended
+        // virtually: 999 splits as 1000 does (and both pad again at 125),
+        // with no pad or crop words, still above its own floor.
+        let ragged = seq_exec_report(&s, 999, 64);
+        assert_eq!(
+            ragged.arena_words,
+            seq_exec_report(&s, 1000, 64).arena_words
+        );
+        assert!(ragged.arena_words > ragged.seq_bound_words, "{ragged:?}");
     }
 
     #[test]

@@ -25,9 +25,11 @@
 //!   ([`decode_product_into`]) with no intermediate result matrix: a block
 //!   is written on the first product of its `W` row and accumulated on the
 //!   later ones, so neither `M_l` nor `C` is zero-filled;
-//! * non-divisible levels zero-extend row-wise into the arena
-//!   ([`MatMut::zero_extend_from`]) instead of building an
-//!   element-at-a-time padded copy.
+//! * a non-divisible level is zero-extended virtually, not copied: it
+//!   splits the caller's `A`, `B` and `C` as if each were padded to the
+//!   next block-grid multiple, the folds read every element past the
+//!   stored corner of `A` or `B` as zero, and the decode writes only `C`'s
+//!   stored corner — no pad buffer, no pad copy, no crop copy.
 //!
 //! Every temporary comes from — and returns to — a [`ScratchArena`], so
 //! after the first recursion warms the pool the hot path performs **zero
@@ -38,8 +40,10 @@
 //! paper's Theorem 1.1 lower-bounds. The model charges each encode one
 //! read per source block and one write, and each decode term a read of
 //! `M_l` and a read-modify-write of `C`; it stays an upper bound on what
-//! the engine moves, since a first touch skips the read of `C` and a fused
-//! leaf neither writes nor re-reads `T_l`/`S_l`.
+//! the engine moves, since a first touch skips the read of `C`, a fused
+//! leaf neither writes nor re-reads `T_l`/`S_l`, and a padded level, which
+//! the model charges at its padded blocks, reads no zeros and writes no
+//! cropped part of `C`.
 //!
 //! ## Bit-determinism
 //!
@@ -62,6 +66,14 @@
 //! `k`-block from `+0.0`, which is what loading a zeroed `M_l` gave; and a
 //! leaf at or below the packed kernel's small-shape edge materializes its
 //! folds and runs the same unpacked loop the unfused recursion does.
+//!
+//! Nor does virtual padding. Past the stored corner a fold's first term
+//! writes `+0.0`, which is `0 ⊕ c·0`, and a later term is skipped: no
+//! accumulator started by a first touch ever holds `-0.0` (a round-to-
+//! nearest sum or difference is `-0.0` only when its left operand is), and
+//! `x + (±0) = x` for every other `x`, `±Inf` and NaN included. A padded
+//! element of `C` depends on no stored one, so not writing it changes
+//! nothing else.
 //!
 //! The packed base case adds `Θ(mk + kn)` pack-buffer traffic per leaf —
 //! within the `O(n²)`-per-node constant of the Equation (1) recurrence the
@@ -148,8 +160,8 @@ impl<T: Scalar> ScratchArena<T> {
 
     /// A buffer of `len` words with **unspecified contents** (stale values
     /// from a previous use are possible), for callers that overwrite every
-    /// element — e.g. the pad path, which zero-extends row-wise. Skips the
-    /// `memset` that [`ScratchArena::take`] pays.
+    /// element — e.g. a product `M_l`, which its fused leaf writes with
+    /// β = 0. Skips the `memset` that [`ScratchArena::take`] pays.
     pub fn take_any(&mut self, len: usize) -> Vec<T> {
         let mut buf = self
             .pop_class(len)
@@ -246,9 +258,10 @@ pub fn child_shape(dims: (usize, usize, usize), s: (usize, usize, usize)) -> (us
 }
 
 /// Scratch words one DFS task needs below `shape`: per split level, the
-/// product buffer `M_l`, the encoded operands `T_l`/`S_l` when the
+/// product buffer `M_l` and the encoded operands `T_l`/`S_l` when the
 /// children split too (a leaf product packs its operands straight from
-/// the parent's blocks), plus pad buffers on non-divisible levels.
+/// the parent's blocks). A non-divisible level takes nothing more: its
+/// padding is virtual.
 pub(crate) fn dfs_working_set(
     dims: (usize, usize, usize),
     shape: (usize, usize, usize),
@@ -257,10 +270,6 @@ pub(crate) fn dfs_working_set(
     let mut total = 0usize;
     let mut cur = shape;
     while splits(dims, cur, cutoff) {
-        let p = padded(dims, cur);
-        if p != cur {
-            total = total.saturating_add(footprint(p));
-        }
         let child = child_shape(dims, cur);
         let temps = if splits(dims, child, cutoff) {
             footprint(child)
@@ -279,9 +288,10 @@ pub(crate) fn dfs_working_set(
 /// rest accumulated ([`crate::dense::axpy_row`]) in ascending `q`, so
 /// `ta` may hold anything on entry and its bits equal those of zeroing it
 /// and accumulating every term (the bit-determinism contract). An empty
-/// `U` row writes zeros. Shared by the sequential recursion above the
-/// leaves, the non-stationary engine, the parallel BFS encoder and the
-/// distributed engine.
+/// `U` row writes zeros, and an `a` whose sides do not divide by the grid
+/// is read as zero-extended to the next grid multiple. Shared by the
+/// sequential recursion above the leaves, the non-stationary engine, the
+/// parallel BFS encoder and the distributed engine.
 #[inline]
 pub fn encode_a_into<T: Scalar>(
     scheme: &BilinearScheme,
@@ -309,7 +319,8 @@ pub fn encode_b_into<T: Scalar>(
 /// Fused decode of product `l`: `C_q ⊕= W[q][l] · M_l` for every nonzero
 /// of `W`'s column `l`, writing through strided `C` grid blocks row by row
 /// (each row of `M_l` is read once) — no intermediate result matrix is
-/// ever materialized.
+/// ever materialized. A `C` whose sides do not divide by the grid is the
+/// stored corner of its zero-extension: only that corner is written.
 ///
 /// A block is *written* (`C_q = 0 ⊕ W[q][l]·M_l`,
 /// [`crate::dense::axpy_set_row`]) on the first product of its `W` row
@@ -327,18 +338,27 @@ pub fn decode_product_into<T: Scalar>(
 ) {
     let (bm, _, bn) = scheme.dims();
     let (br, bc) = (m.rows(), m.cols());
-    assert_eq!((c.rows(), c.cols()), (bm * br, bn * bc), "C is M_l's grid");
+    assert_eq!(
+        (c.rows().div_ceil(bm), c.cols().div_ceil(bn)),
+        (br, bc),
+        "C zero-extended is M_l's grid"
+    );
+    // Row `i` of grid block `q` starts at `C[r][c0]`.
+    let at = |q: usize, i: usize| ((q / bn) * br + i, (q % bn) * bc);
     if l == 0 {
-        for q in 0..bm * bn {
-            if scheme.w.row_entries(q).next().is_none() {
-                c.grid_block_rect_mut(bm, bn, q / bn, q % bn).fill_zero();
+        for q in (0..bm * bn).filter(|&q| scheme.w.row_entries(q).next().is_none()) {
+            for i in 0..br {
+                let (r, c0) = at(q, i);
+                c.clipped_row_mut(r, c0, bc).fill(T::zero());
             }
         }
     }
     for i in 0..br {
         let src = m.row(i);
         for (q, wc) in scheme.w.col_entries(l) {
-            let dst = &mut c.row_mut((q / bn) * br + i)[(q % bn) * bc..][..bc];
+            let (r, c0) = at(q, i);
+            let dst = c.clipped_row_mut(r, c0, bc);
+            let src = &src[..dst.len()];
             if scheme.w.row_entries(q).next().map(|(j, _)| j) == Some(l) {
                 axpy_set_row(dst, src, wc);
             } else {
@@ -349,10 +369,11 @@ pub fn decode_product_into<T: Scalar>(
 }
 
 /// The arena recursion: computes `c = a * b` into a **zeroed** `c` with
-/// `scheme`, padding per level on non-divisible shapes and running the
-/// packed base kernel ([`multiply_packed_into`]) below `cutoff`, with
-/// every temporary (pack panels included) drawn from — and returned to —
-/// `arena`.
+/// `scheme`, splitting a non-divisible level as if `a`, `b` and `c` were
+/// zero-extended to the next block-grid multiple (no pad buffer, no copy;
+/// see the module docs) and running the packed base kernel
+/// ([`multiply_packed_into`]) below `cutoff`, with every temporary (pack
+/// panels included) drawn from — and returned to — `arena`.
 ///
 /// Zero-dimension shapes are defined: if any of `M`, `K`, `N` is zero the
 /// product is the all-zero `M x N` matrix (empty when `M` or `N` is zero),
@@ -396,32 +417,6 @@ pub fn multiply_into<T: Scalar>(
         multiply_packed_into(a, b, c, arena);
         return;
     }
-    let (pm, pk, pn) = padded(dims, shape);
-    if (pm, pk, pn) != shape {
-        // Non-divisible level: zero-extend both operands row-wise into the
-        // arena, recurse at the padded shape, crop back. Every element of
-        // the three buffers is written before it is read (the padded shape
-        // splits, and a split writes all of its output), so all are taken
-        // unzeroed.
-        let mut pa = arena.take_any(pm * pk);
-        MatMut::from_slice(&mut pa, pm, pk).zero_extend_from(a);
-        let mut pb = arena.take_any(pk * pn);
-        MatMut::from_slice(&mut pb, pk, pn).zero_extend_from(b);
-        let mut pc = arena.take_any(pm * pn);
-        multiply_into(
-            scheme,
-            MatRef::from_slice(&pa, pm, pk),
-            MatRef::from_slice(&pb, pk, pn),
-            &mut MatMut::from_slice(&mut pc, pm, pn),
-            cutoff,
-            arena,
-        );
-        c.copy_from(MatRef::from_slice(&pc, pm, pn).block(0, 0, shape.0, shape.2));
-        arena.give(pa);
-        arena.give(pb);
-        arena.give(pc);
-        return;
-    }
     let leaf_children = !splits(dims, child_shape(dims, shape), cutoff);
     multiply_split(scheme, a, b, c, leaf_children, arena, |ta, tb, m, arena| {
         multiply_into(scheme, ta, tb, m, cutoff, arena)
@@ -431,7 +426,9 @@ pub fn multiply_into<T: Scalar>(
 /// One split node, shared by [`multiply_into`] and the non-stationary
 /// engine: for each product `l = 0, 1, …, r-1`, form `M_l` into one arena
 /// buffer, then decode it into `c` ([`decode_product_into`]), which
-/// writes every element of `c`.
+/// writes every element of `c`. Non-divisible sides are zero-extended
+/// virtually: `M_l` has the padded child shape, the folds and the decode
+/// stop at the stored corners.
 ///
 /// When the children are leaves (`leaf_children`), `M_l` is one fused
 /// leaf call on the folds of `U`'s and `V`'s row `l` over the grid blocks
@@ -450,7 +447,7 @@ pub(crate) fn multiply_split<T: Scalar>(
     mut recurse: impl FnMut(MatRef<'_, T>, MatRef<'_, T>, &mut MatMut<'_, T>, &mut ScratchArena<T>),
 ) {
     let (bm, bk, bn) = scheme.dims();
-    let (sm, sk, sn) = (a.rows() / bm, a.cols() / bk, b.cols() / bn);
+    let (sm, sk, sn) = child_shape((bm, bk, bn), (a.rows(), a.cols(), b.cols()));
     let mut mbuf = arena.take_any(sm * sn);
     if leaf_children {
         for l in 0..scheme.r {

@@ -416,6 +416,17 @@ impl<'a, T: Scalar> MatRef<'a, T> {
         &self.data[start..start + self.cols]
     }
 
+    /// Columns `c0 .. c0 + len` of row `i` of the window read as if
+    /// zero-extended past its stored corner, cut to the stored part: empty
+    /// when row `i` or column `c0` lies past the corner.
+    #[inline]
+    pub(crate) fn clipped_row(&self, i: usize, c0: usize, len: usize) -> &'a [T] {
+        if i >= self.rows || c0 >= self.cols {
+            return &[];
+        }
+        &self.row(i)[c0..self.cols.min(c0 + len)]
+    }
+
     /// Copy the window into an owned matrix.
     pub fn to_matrix(&self) -> Matrix<T> {
         Matrix::from_fn(self.rows, self.cols, |i, j| self.get(i, j))
@@ -528,6 +539,17 @@ impl<'a, T: Scalar> MatMut<'a, T> {
         &mut self.data[start..start + self.cols]
     }
 
+    /// [`MatRef::clipped_row`], mutably: the stored part of a row segment
+    /// of the zero-extended window.
+    #[inline]
+    pub(crate) fn clipped_row_mut(&mut self, i: usize, c0: usize, len: usize) -> &mut [T] {
+        if i >= self.rows || c0 >= self.cols {
+            return &mut [];
+        }
+        let cols = self.cols;
+        &mut self.row_mut(i)[c0..cols.min(c0 + len)]
+    }
+
     /// Fill the window with zeros (row-wise `fill`, not per-element stores).
     pub fn fill_zero(&mut self) {
         for i in 0..self.rows {
@@ -545,10 +567,9 @@ impl<'a, T: Scalar> MatMut<'a, T> {
     }
 
     /// Zero-extension copy: `src` (no larger in either dimension) lands in
-    /// the top-left corner, everything else becomes zero. This is the
-    /// per-level padding primitive of the arena engine — row-wise
-    /// `copy_from_slice` plus `fill`, replacing the historical
-    /// element-by-element `from_fn` pad with its branch per element.
+    /// the top-left corner, everything else becomes zero, row-wise
+    /// (`copy_from_slice` plus `fill`). The arena engines pad virtually
+    /// instead (see [`crate::arena`]).
     pub fn zero_extend_from(&mut self, src: MatRef<'_, T>) {
         assert!(
             src.rows() <= self.rows && src.cols() <= self.cols,

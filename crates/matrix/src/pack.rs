@@ -144,11 +144,14 @@ pub fn active_simd_level() -> SimdLevel {
 
 /// The fold `Σ_q c_q·X_q` of row `row` of a coefficient matrix (`U` or
 /// `V`) over the `gr x gc` grid blocks `X_q` of a parent view (block `q`
-/// is grid cell `(q / gc, q % gc)`): the encoded operand `T_l` or `S_l`
-/// of one product, described without being stored. Its rows are computed
-/// on demand from zero in ascending `q` with [`axpy_set_row`] then
-/// [`axpy_row`], exactly the arithmetic of zero-filling `T_l` and
-/// accumulating the terms, so a fold carries `T_l`'s bits.
+/// is grid cell `(q / gc, q % gc)`), the parent read as zero-extended to
+/// its padded extent, the next grid multiple: the encoded operand `T_l`
+/// or `S_l` of one product, described without being stored. Its rows are
+/// computed on demand from zero in ascending `q` with [`axpy_set_row`]
+/// then [`axpy_row`], exactly the arithmetic of zero-filling `T_l` and
+/// accumulating the terms, so a fold carries `T_l`'s bits. Past the
+/// stored corner a first term writes zero and a later one is skipped,
+/// which keeps those bits (see the [`crate::arena`] module docs).
 #[derive(Clone, Copy)]
 pub(crate) struct Fold<'a, T> {
     parent: MatRef<'a, T>,
@@ -158,18 +161,15 @@ pub(crate) struct Fold<'a, T> {
 }
 
 impl<'a, T: Scalar> Fold<'a, T> {
-    /// The fold of `coeffs` row `row` over `parent` split as a
-    /// `grid.0 x grid.1` grid (`coeffs` has one column per grid block).
+    /// The fold of `coeffs` row `row` over `parent` zero-extended and
+    /// split as a `grid.0 x grid.1` grid (`coeffs` has one column per grid
+    /// block).
     pub(crate) fn new(
         parent: MatRef<'a, T>,
         grid: (usize, usize),
         coeffs: &'a Coeffs,
         row: usize,
     ) -> Self {
-        assert!(
-            parent.rows().is_multiple_of(grid.0) && parent.cols().is_multiple_of(grid.1),
-            "dimensions not divisible by grid"
-        );
         assert_eq!(coeffs.cols(), grid.0 * grid.1, "one coefficient per block");
         Fold {
             parent,
@@ -180,28 +180,36 @@ impl<'a, T: Scalar> Fold<'a, T> {
     }
 
     fn rows(&self) -> usize {
-        self.parent.rows() / self.grid.0
+        self.parent.rows().div_ceil(self.grid.0)
     }
 
     fn cols(&self) -> usize {
-        self.parent.cols() / self.grid.1
+        self.parent.cols().div_ceil(self.grid.1)
     }
 
     /// `dst = Σ_q c_q · X_q[i][c0 .. c0 + dst.len()]`: the first nonzero
     /// term written, the rest accumulated, in ascending `q` (zeros if the
-    /// coefficient row is empty). `dst` may hold anything on entry.
-    /// Always inlined, so the pack loops' `#[target_feature]`
-    /// instantiations vectorize the fold at their width.
+    /// coefficient row is empty), each over the part of its block row the
+    /// parent stores. `dst` may hold anything on entry. Always inlined,
+    /// so the pack loops' `#[target_feature]` instantiations vectorize the
+    /// fold at their width.
     #[inline(always)]
     pub(crate) fn row_into(&self, i: usize, c0: usize, dst: &mut [T]) {
         let (br, bc, gc, len) = (self.rows(), self.cols(), self.grid.1, dst.len());
-        let block_row = |q: usize| &self.parent.row((q / gc) * br + i)[(q % gc) * bc + c0..][..len];
+        let block_row = |q: usize| {
+            self.parent
+                .clipped_row((q / gc) * br + i, (q % gc) * bc + c0, len)
+        };
         let mut terms = self.coeffs.row_entries(self.row);
         match terms.next() {
             Some((q, c)) => {
-                axpy_set_row(dst, block_row(q), c);
+                let src = block_row(q);
+                let (stored, past) = dst.split_at_mut(src.len());
+                axpy_set_row(stored, src, c);
+                past.fill(T::zero());
                 for (q, c) in terms {
-                    axpy_row(dst, block_row(q), c);
+                    let src = block_row(q);
+                    axpy_row(&mut dst[..src.len()], src, c);
                 }
             }
             None => dst.fill(T::zero()),

@@ -37,16 +37,17 @@
 //!
 //! Every node at one BFS depth has the same shape, so the BFS tree is one
 //! array of node states per depth, indexed by `(depth, i)`: node `i` has
-//! children `i·f .. (i+1)·f` one depth down, with `f = r` under a split
-//! and `f = 1` under a zero-pad (which, as in the sequential recursion,
-//! takes no BFS level). Workers pop tasks from **one shared LIFO stack**
+//! children `i·r .. (i+1)·r` one depth down. A node whose sides do not
+//! divide by the scheme's grid is split as the sequential recursion splits
+//! it, zero-extended virtually: its children encode through padded folds
+//! and its decode writes only its stored corner, so padding takes no BFS
+//! node and no copy. Workers pop tasks from **one shared LIFO stack**
 //! and wait on a [`Condvar`] while it is empty; there is no work stealing
-//! and no polling. An inner task encodes (or pads) its operands from its
-//! parent's — the root's are the caller's, borrowed — and pushes its
-//! children. A leaf task encodes its operands, runs the DFS recursion on
-//! the worker's arena and walks up: whoever finishes a node's last child
-//! decodes the node's products in ascending `l` (or crops its padded
-//! child), frees the node's operands and keeps walking.
+//! and no polling. An inner task encodes its operands from its parent's —
+//! the root's are the caller's, borrowed — and pushes its children. A leaf
+//! task encodes its operands, runs the DFS recursion on the worker's arena
+//! and walks up: whoever finishes a node's last child decodes the node's
+//! products in ascending `l`, frees the node's operands and keeps walking.
 //!
 //! The schedule is deliberately not level-synchronous (all encodes of a
 //! depth, then all leaves, then all decodes): that would stop the
@@ -74,7 +75,7 @@
 
 use crate::arena::{
     child_shape, decode_product_into, dfs_working_set, encode_a_into, encode_b_into, footprint,
-    multiply_into, padded, splits, ScratchArena,
+    multiply_into, splits, ScratchArena,
 };
 use crate::dense::{MatMut, MatRef, Matrix};
 use crate::recursive::multiply_scheme;
@@ -254,10 +255,7 @@ const UNPOISONED: &str = "no poisoning guard is held across arithmetic";
 /// shape, and gets its product from the depth below in the same way.
 struct Depth<T> {
     shape: (usize, usize, usize),
-    /// Whether this depth's nodes zero-pad into one child instead of
-    /// splitting into `r`.
-    pad: bool,
-    /// Children per node: 1 under a pad, `r` under a split, 0 at leaves.
+    /// Children per node: `r`, or 0 at leaves.
     fan: usize,
     nodes: Vec<Node<T>>,
 }
@@ -298,8 +296,8 @@ struct Run<'a, T> {
 
 impl<'a, T: Scalar> Run<'a, T> {
     /// Lay out the tree down to `bfs_levels` splits, mirroring the
-    /// sequential recursion's per-level pad-or-split decisions exactly,
-    /// with the root as the only task.
+    /// sequential recursion's per-level split decisions exactly, with the
+    /// root as the only task.
     fn new(
         scheme: &'a BilinearScheme,
         cutoff: usize,
@@ -309,15 +307,10 @@ impl<'a, T: Scalar> Run<'a, T> {
     ) -> Self {
         let dims = scheme.dims();
         let mut depths = Vec::new();
-        let (mut shape, mut count, mut level) = ((a.rows(), a.cols(), b.cols()), 1, 0);
+        let (mut shape, mut count) = ((a.rows(), a.cols(), b.cols()), 1);
         loop {
-            let inner = level < bfs_levels && splits(dims, shape, cutoff);
-            let pad = inner && padded(dims, shape) != shape;
-            let fan = match (inner, pad) {
-                (false, _) => 0,
-                (true, true) => 1,
-                (true, false) => scheme.r,
-            };
+            let inner = depths.len() < bfs_levels && splits(dims, shape, cutoff);
+            let fan = if inner { scheme.r } else { 0 };
             let nodes = (0..count)
                 .map(|_| Node {
                     ops: RwLock::new(None),
@@ -325,20 +318,11 @@ impl<'a, T: Scalar> Run<'a, T> {
                     pending: AtomicUsize::new(fan),
                 })
                 .collect();
-            depths.push(Depth {
-                shape,
-                pad,
-                fan,
-                nodes,
-            });
+            depths.push(Depth { shape, fan, nodes });
             if !inner {
                 break;
             }
-            (shape, level) = if pad {
-                (padded(dims, shape), level)
-            } else {
-                (child_shape(dims, shape), level + 1)
-            };
+            shape = child_shape(dims, shape);
             count *= fan;
         }
         Run {
@@ -426,8 +410,8 @@ impl<'a, T: Scalar> Run<'a, T> {
         self.finish(d, i, out);
     }
 
-    /// Node `(d, i)`'s operands from its parent's: the encoded pair of its
-    /// product index under a split, zero-extended copies under a pad.
+    /// Node `(d, i)`'s operands: the encoded pair of its product index,
+    /// read from its parent's.
     fn operands(&self, d: usize, i: usize) -> (Vec<T>, Vec<T>) {
         let parent = &self.depths[d - 1];
         let (pm, pk, pn) = parent.shape;
@@ -442,12 +426,7 @@ impl<'a, T: Scalar> Run<'a, T> {
                 )
             }
         };
-        let (mm, kk, nn) = self.depths[d].shape;
-        if parent.pad {
-            (pad_copy(pa, mm, kk), pad_copy(pb, kk, nn))
-        } else {
-            encode_child(self.scheme, pa, pb, i % parent.fan, (mm, kk, nn))
-        }
+        encode_child(self.scheme, pa, pb, i % parent.fan, self.depths[d].shape)
     }
 
     /// Store node `(d, i)`'s product and walk up: the worker that brings
@@ -474,8 +453,7 @@ impl<'a, T: Scalar> Run<'a, T> {
 
     /// Node `(d, i)`'s product from its children's: decode them in product
     /// order `l = 0..r` with the sequential engine's own
-    /// [`decode_product_into`], or crop the padded child. Frees the
-    /// node's operands.
+    /// [`decode_product_into`]. Frees the node's operands.
     fn combine(&self, d: usize, i: usize) -> Vec<T> {
         let (mm, _, nn) = self.depths[d].shape;
         let (cm, _, cn) = self.depths[d + 1].shape;
@@ -487,12 +465,7 @@ impl<'a, T: Scalar> Run<'a, T> {
             .enumerate()
         {
             let m = std::mem::take(&mut *child.out.lock().expect(UNPOISONED));
-            let m = MatRef::from_slice(&m, cm, cn);
-            if self.depths[d].pad {
-                c.copy_from(m.block(0, 0, mm, nn));
-            } else {
-                decode_product_into(self.scheme, m, l, &mut c);
-            }
+            decode_product_into(self.scheme, MatRef::from_slice(&m, cm, cn), l, &mut c);
         }
         *self.depths[d].nodes[i].ops.write().expect(UNPOISONED) = None;
         out
@@ -518,13 +491,6 @@ fn encode_child<T: Scalar>(
     let mut tb = vec![T::zero(); sk * sn];
     encode_b_into(scheme, pb, l, &mut MatMut::from_slice(&mut tb, sk, sn));
     (ta, tb)
-}
-
-/// Zero-extend `src` into a fresh `rows x cols` BFS-tree buffer.
-fn pad_copy<T: Scalar>(src: MatRef<'_, T>, rows: usize, cols: usize) -> Vec<T> {
-    let mut out = vec![T::zero(); rows * cols];
-    MatMut::from_slice(&mut out, rows, cols).zero_extend_from(src);
-    out
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!
 //! [`multiply_scheme`] executes on the zero-allocation arena recursion of
 //! [`crate::arena`]: strided views over the original operands, fused
-//! encode/decode row kernels, per-level row-wise zero-extension on
+//! encode/decode row kernels, per-level virtual zero-extension on
 //! non-divisible shapes, and the packed micro-kernel of [`crate::pack`]
 //! as the base case — the same engine the parallel DFS leaves run, so
 //! the traffic model `dfs_arena_io_recurrence_mkn` (crate `fastmm-memsim`)
@@ -21,10 +21,10 @@
 //! `multiply_naive`.
 //!
 //! Dimensions that stop dividing mid-recursion are zero-padded *per level*
-//! up to the next block-grid multiple, recursed on, and cropped — so a
-//! non-divisible size costs one ring of zeros instead of silently falling
-//! back to the Θ(MKN) classical kernel at the top (the historical behavior,
-//! fixed here and locked in by `prop_schemes.rs`).
+//! up to the next block-grid multiple — virtually, with no padded copy and
+//! no crop — so a non-divisible size costs one ring of zeros instead of
+//! silently falling back to the Θ(MKN) classical kernel at the top (the
+//! historical behavior, fixed here and locked in by `prop_schemes.rs`).
 
 use crate::arena::{child_shape, multiply_into, multiply_split, ScratchArena};
 use crate::dense::{MatMut, MatRef, Matrix};
@@ -292,7 +292,7 @@ mod tests {
     #[test]
     fn non_divisible_sizes_recurse_after_padding() {
         // The footgun fix, correctness half: a non-divisible size stays the
-        // bilinear identity through the pad-crop path (exact arithmetic, so
+        // bilinear identity through the padded levels (exact arithmetic, so
         // this cannot distinguish *which* kernel ran — the path witness is
         // `non_divisible_sizes_take_the_fast_path_not_the_cubic_kernel`).
         let mut rng = StdRng::seed_from_u64(23);
@@ -312,8 +312,8 @@ mod tests {
         // The footgun fix, execution-path half. Over f64, Strassen
         // reassociates the arithmetic, so its bit pattern differs from the
         // classical kernel's on generic inputs. A non-divisible size must be
-        // bit-identical to the manually padded-and-cropped *fast* run (that
-        // is literally what multiply_into executes) and must NOT be
+        // bit-identical to the manually padded-and-cropped *fast* run (what
+        // multiply_into's virtual padding computes) and must NOT be
         // bit-identical to multiply_naive — which is exactly what it would be
         // if the engine regressed to the old silent classical fallback.
         let s = strassen();

@@ -9,12 +9,14 @@
 //! * the arena-backed sequential engine (`multiply_scheme`) vs
 //!   [`copy_out_oracle`], a test-only copy-out recursion over
 //!   `multiply_naive`, across cutoffs `{1, 8, 64}` — so any reassociation
-//!   introduced into the fused encode/decode kernels or the row-wise pad
-//!   path fails bitwise;
+//!   introduced into the fused encode/decode kernels or the virtual
+//!   zero-extension of padded levels fails bitwise;
 //! * the same two witnesses on zero-heavy operands (`-0.0` entries, zero
 //!   blocks) over the registry, Winograd's dimension permutations and a
 //!   sign-flipped Strassen, so the first-touch `0 ⊕ x` writes of encode
-//!   and decode keep their signed zeros;
+//!   and decode keep their signed zeros — and on operands whose last row
+//!   and column hold `±Inf`, NaN and `±0` next to the padding, so skipping
+//!   the zero-extension's terms keeps every bit;
 //! * the non-stationary engine (`multiply_non_stationary`) vs
 //!   `multiply_scheme` at the cutoff where both recurse the same number
 //!   of levels;
@@ -188,7 +190,7 @@ const LEGACY_CUTOFFS: [usize; 3] = [1, 8, 64];
 #[cfg(not(feature = "fma"))]
 #[test]
 fn arena_sequential_matches_legacy_golden_f64_bits() {
-    // The arena engine (strided views, fused kernels, row-wise pad)
+    // The arena engine (strided views, fused kernels, virtual padding)
     // reproduces the copy-out oracle bit for bit on every registry
     // scheme, including shapes that pad at every level.
     for (i, scheme) in all_schemes().iter().enumerate() {
@@ -315,6 +317,54 @@ fn signed_zeros_are_bit_deterministic_across_engines() {
                     "{} {mm}x{kk}x{nn} cutoff={cutoff}: signed zeros differ across engines",
                     scheme.name
                 );
+            }
+        }
+    }
+}
+
+/// `m` with its last row and column cycling through `+Inf`, `-Inf`, NaN,
+/// `-0.0` and `+0.0`: on [`shapes_for`]'s padded shapes these stored
+/// entries sit next to the zero-extension at every level. The NaN is the
+/// one the hardware makes (`Inf - Inf`), so every NaN in flight has the
+/// same bits and the witness reads padding, not NaN-payload choice.
+fn non_finite_edges(mut m: Matrix<f64>) -> Matrix<f64> {
+    let nan = std::hint::black_box(f64::INFINITY) - f64::INFINITY;
+    let specials = [f64::INFINITY, f64::NEG_INFINITY, nan, -0.0, 0.0];
+    let (rows, cols) = (m.rows(), m.cols());
+    for j in 0..cols {
+        m[(rows - 1, j)] = specials[j % specials.len()];
+    }
+    for i in 0..rows {
+        m[(i, cols - 1)] = specials[(i + 2) % specials.len()];
+    }
+    m
+}
+
+#[cfg(not(feature = "fma"))]
+#[test]
+fn non_finite_edges_match_the_oracle_at_pad_levels() {
+    // Virtual zero-extension skips a fold's later terms past the stored
+    // corner instead of adding `+0.0`, and never writes `C`'s padded
+    // part: exact for ±Inf, NaN and signed zeros in the stored entries
+    // next to the padding, through both engines.
+    for (i, scheme) in all_schemes().iter().enumerate() {
+        for (j, &(mm, kk, nn)) in shapes_for(scheme).iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64((23000 + i * 100 + j) as u64);
+            let a = non_finite_edges(Matrix::<f64>::random(mm, kk, &mut rng));
+            let b = non_finite_edges(Matrix::<f64>::random(kk, nn, &mut rng));
+            for cutoff in LEGACY_CUTOFFS {
+                let oracle = copy_out_oracle(scheme, &a, &b, cutoff);
+                let par = multiply_scheme_parallel(scheme, &a, &b, cutoff, &ParallelConfig::new(2));
+                for (engine, c) in [
+                    ("multiply_scheme", multiply_scheme(scheme, &a, &b, cutoff)),
+                    ("parallel", par),
+                ] {
+                    assert!(
+                        c.bits_eq(&oracle),
+                        "{} {mm}x{kk}x{nn} cutoff={cutoff}: {engine} differs from the oracle",
+                        scheme.name
+                    );
+                }
             }
         }
     }

@@ -1,16 +1,17 @@
-//! Zero-allocation witness: once an arena is warm, `multiply_into` takes
-//! every temporary — encoded operands, products, pad buffers, pack panels
-//! and the fused leaf's fold row — from it and allocates nothing.
+//! Zero-allocation witnesses: once an arena is warm, `multiply_into` takes
+//! every temporary — encoded operands, products, pack panels and the
+//! fused leaf's fold row — from it and allocates nothing; and a level
+//! that pads takes no temporary at all beyond what its padded shape does.
 //!
 //! A counting global allocator tallies allocations per thread, so only
-//! the multiply under test is counted. This binary holds a single test.
+//! the multiply under test is counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fastmm_matrix::arena::{multiply_into, ScratchArena};
+use fastmm_matrix::arena::{multiply_into, padded, ScratchArena};
 use fastmm_matrix::dense::Matrix;
-use fastmm_matrix::scheme::all_schemes;
+use fastmm_matrix::scheme::{all_schemes, strassen, strassen_2x2x4};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -98,5 +99,45 @@ fn warm_multiply_into_allocates_nothing() {
                 scheme.name
             );
         }
+    }
+}
+
+#[test]
+fn a_padded_level_takes_no_pad_buffers() {
+    // Zero-extension is virtual: a cold multiply at a shape that pads at
+    // the top level leaves its arena holding exactly what one at the
+    // padded shape does, after exactly as many allocations. Strassen 65³
+    // at cutoff 16 pads at every level (65, 33, 17); ⟨2,2,4⟩ at 13x13x61
+    // and cutoff 4 pads at both of its levels (to 14x14x64, then 7x7x16
+    // to 8x8x16).
+    let mut rng = StdRng::seed_from_u64(29);
+    for (scheme, shape, cutoff) in [
+        (strassen(), (65, 65, 65), 16),
+        (strassen_2x2x4(), (13, 13, 61), 4),
+    ] {
+        let mut cold = |(m, k, n): (usize, usize, usize)| {
+            let a = Matrix::<f64>::random(m, k, &mut rng);
+            let b = Matrix::<f64>::random(k, n, &mut rng);
+            let mut c = Matrix::zeros(m, n);
+            let mut arena = ScratchArena::new();
+            let before = allocations();
+            multiply_into(
+                &scheme,
+                a.view(),
+                b.view(),
+                &mut c.view_mut(),
+                cutoff,
+                &mut arena,
+            );
+            (arena.retained_words(), allocations() - before)
+        };
+        let even = padded(scheme.dims(), shape);
+        assert_ne!(even, shape);
+        assert_eq!(
+            cold(shape),
+            cold(even),
+            "{} {shape:?}: (retained words, allocations) differ from the padded {even:?}",
+            scheme.name
+        );
     }
 }

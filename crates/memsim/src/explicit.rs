@@ -237,13 +237,12 @@ pub fn dfs_io_recurrence_mkn(
 /// * decoding product `l` performs, per nonzero of `W`'s column `l`, a
 ///   read of `M_l` plus a read-modify-write of the `C` block (3 block
 ///   transfers);
-/// * a **non-divisible level that still makes progress pads per level**,
-///   exactly like the engine: read both operands (`MK + KN`), write their
-///   row-wise zero-extensions (`M'K' + K'N'` at the padded shape), recurse
-///   at the padded shape, then crop (read the `M x N` window of the padded
-///   product, write `C`: `2·MN`). Padding therefore costs `O(n²)` extra
-///   words at the levels that need it — a fraction of that level's
-///   encode/decode traffic, never a doubling (asserted in tests);
+/// * a **non-divisible level that still makes progress** is charged as the
+///   padded recursion (blocks of the shape zero-extended to the next grid
+///   multiple) and nothing more: the engine zero-extends virtually, with
+///   no pad copy and no crop. The padded blocks over-count the words the
+///   engine moves (it skips the zeros and the cropped part of `C`), so the
+///   model stays an upper bound;
 /// * the base case moves `MK + KN + MN` words, as in
 ///   [`dfs_io_recurrence_mkn`].
 ///
@@ -264,23 +263,15 @@ pub fn dfs_arena_io_recurrence_mkn(
     if wa + wb + wc <= m || bm * bk * bn == 1 {
         return (wa + wb + wc) as f64;
     }
-    let (pm, pk, pn) = (
-        mm.div_ceil(bm) * bm,
-        kk.div_ceil(bk) * bk,
-        nn.div_ceil(bn) * bn,
-    );
+    // Child (block) shape of the shape zero-extended to the grid.
+    let (sm, sk, sn) = (mm.div_ceil(bm), kk.div_ceil(bk), nn.div_ceil(bn));
     // The engine's progress guard: one level must shrink the element count.
-    if (pm / bm) * (pk / bk) * (pn / bn) >= mm * kk * nn {
+    if sm * sk * sn >= mm * kk * nn {
         return (wa + wb + wc) as f64;
     }
-    if (pm, pk, pn) != (mm, kk, nn) {
-        let pad_in = (wa + pm * pk + wb + pk * pn) as f64;
-        let crop_out = (2 * wc) as f64;
-        return pad_in + crop_out + dfs_arena_io_recurrence_mkn(scheme, pm, pk, pn, m);
-    }
-    let blk_a = ((mm / bm) * (kk / bk)) as f64;
-    let blk_b = ((kk / bk) * (nn / bn)) as f64;
-    let blk_c = ((mm / bm) * (nn / bn)) as f64;
+    let blk_a = (sm * sk) as f64;
+    let blk_b = (sk * sn) as f64;
+    let blk_c = (sm * sn) as f64;
     let mut level = 0.0;
     for l in 0..scheme.r {
         level += (scheme.u.row_nnz(l) + 1) as f64 * blk_a;
@@ -288,7 +279,7 @@ pub fn dfs_arena_io_recurrence_mkn(
         let w_nnz = (0..bm * bn).filter(|&q| scheme.w.get(q, l) != 0).count();
         level += 3.0 * w_nnz as f64 * blk_c;
     }
-    level + scheme.r as f64 * dfs_arena_io_recurrence_mkn(scheme, mm / bm, kk / bk, nn / bn, m)
+    level + scheme.r as f64 * dfs_arena_io_recurrence_mkn(scheme, sm, sk, sn, m)
 }
 
 #[cfg(test)]
@@ -482,30 +473,25 @@ mod tests {
 
     #[test]
     fn arena_recurrence_pads_per_level_without_doubling_level0_traffic() {
-        // The model of the default engine's pad path (row-wise
-        // zero-extension in the arena, then crop): a 65³ Strassen multiply
-        // pads to 66³ at level 0, so its traffic is exactly the divisible
-        // 66³ run plus the level-0 pad words — read A and B (2·65²), write
-        // their zero-extensions (2·66²), and crop the product (2·65²).
+        // The model of the default engine's virtual zero-extension: a 65³
+        // Strassen multiply splits as the 66³ one does, with no pad copy
+        // and no crop, so a padded level costs exactly the padded
+        // recursion — at level 0 (65 → 66) and again below it (33 → 34,
+        // 17 → 18), and for a rectangular scheme padding two levels.
         let s = strassen();
         let m = 3 * 16;
-        let with_pad = dfs_arena_io_recurrence_mkn(&s, 65, 65, 65, m);
-        let at_padded = dfs_arena_io_recurrence_mkn(&s, 66, 66, 66, m);
-        let overhead = 2.0 * (65 * 65 + 66 * 66) as f64 + 2.0 * (65 * 65) as f64;
-        assert_eq!(with_pad, overhead + at_padded);
-        // The words-moved guarantee of the fix: padding costs a *fraction*
-        // of that level's own encode/decode traffic — it no longer doubles
-        // level-0 traffic the way full-matrix staging (pad copy plus
-        // per-block copy-out of both padded operands) does in a copy-out
-        // recursion.
-        let level0 = at_padded - 7.0 * dfs_arena_io_recurrence_mkn(&s, 33, 33, 33, m);
-        assert!(
-            overhead < level0,
-            "pad overhead {overhead} must stay below the level-0 traffic {level0}"
+        assert_eq!(
+            dfs_arena_io_recurrence_mkn(&s, 65, 65, 65, m),
+            dfs_arena_io_recurrence_mkn(&s, 66, 66, 66, m)
         );
-        assert!(
-            with_pad < 1.2 * at_padded,
-            "padding inflated total traffic: {with_pad} vs {at_padded}"
+        assert_eq!(
+            dfs_arena_io_recurrence_mkn(&s, 33, 33, 33, m),
+            dfs_arena_io_recurrence_mkn(&s, 34, 34, 34, m)
+        );
+        let wide = fastmm_matrix::scheme::strassen_2x2x4();
+        assert_eq!(
+            dfs_arena_io_recurrence_mkn(&wide, 13, 13, 61, 3 * 16),
+            dfs_arena_io_recurrence_mkn(&wide, 14, 14, 64, 3 * 16)
         );
     }
 
