@@ -1014,8 +1014,8 @@ fn dist_row(
 
 /// E12b — strong scaling through `p = 2401` on the event-driven runtime.
 ///
-/// The lockstep mesh of PR 5 topped out around `p = 49` (it materialises
-/// `p²` channels up front); the event scheduler holds O(p) state, so this
+/// A `p × p` channel mesh tops out around `p = 49` (it materialises `p²`
+/// channels up front); the event scheduler holds O(p) state, so this
 /// sweep actually *executes* CAPS, Cannon, and the generic block-exchange
 /// engine at `p ∈ {49, 343, 2401}` with real message exchange, and holds
 /// every row to the same contract as [`e12_distributed`]: gathered

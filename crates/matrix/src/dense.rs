@@ -389,24 +389,6 @@ impl<'a, T: Scalar> MatRef<'a, T> {
         }
     }
 
-    /// The `(bi, bj)` block of a `g x g` grid over a window whose dimensions
-    /// are divisible by `g`.
-    pub fn grid_block(&self, g: usize, bi: usize, bj: usize) -> MatRef<'a, T> {
-        self.grid_block_rect(g, g, bi, bj)
-    }
-
-    /// The `(bi, bj)` block of a rectangular `gr x gc` grid over a window
-    /// whose rows divide by `gr` and columns by `gc` — the split a
-    /// `⟨m,k,n;r⟩` scheme applies to its operands.
-    pub fn grid_block_rect(&self, gr: usize, gc: usize, bi: usize, bj: usize) -> MatRef<'a, T> {
-        assert!(
-            self.rows.is_multiple_of(gr) && self.cols.is_multiple_of(gc),
-            "dimensions not divisible by grid"
-        );
-        let (br, bc) = (self.rows / gr, self.cols / gc);
-        self.block(bi * br, bj * bc, br, bc)
-    }
-
     /// Row `i` of the window as a contiguous slice (rows are contiguous in
     /// any row-major window, whatever its stride).
     #[inline]
@@ -507,28 +489,6 @@ impl<'a, T: Scalar> MatMut<'a, T> {
             off: self.off + r0 * self.stride + c0,
             data: self.data,
         }
-    }
-
-    /// The `(bi, bj)` block of a `g x g` grid (dimensions must divide).
-    pub fn grid_block_mut(&mut self, g: usize, bi: usize, bj: usize) -> MatMut<'_, T> {
-        self.grid_block_rect_mut(g, g, bi, bj)
-    }
-
-    /// The `(bi, bj)` block of a rectangular `gr x gc` grid (rows must
-    /// divide by `gr`, columns by `gc`).
-    pub fn grid_block_rect_mut(
-        &mut self,
-        gr: usize,
-        gc: usize,
-        bi: usize,
-        bj: usize,
-    ) -> MatMut<'_, T> {
-        assert!(
-            self.rows.is_multiple_of(gr) && self.cols.is_multiple_of(gc),
-            "dimensions not divisible by grid"
-        );
-        let (br, bc) = (self.rows / gr, self.cols / gc);
-        self.block_mut(bi * br, bj * bc, br, bc)
     }
 
     /// Row `i` of the window as a contiguous mutable slice.
@@ -636,7 +596,7 @@ mod tests {
     fn views_window_correctly() {
         let m: Matrix<i64> = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as i64);
         let v = m.view();
-        let q = v.grid_block(2, 1, 0); // lower-left quadrant
+        let q = v.block(2, 0, 2, 2); // lower-left quadrant
         assert_eq!(q.rows(), 2);
         assert_eq!(q.get(0, 0), 8);
         assert_eq!(q.get(1, 1), 13);
@@ -647,19 +607,19 @@ mod tests {
 
     #[test]
     fn rect_grid_blocks_window_correctly() {
-        // 4x6 split as a 2x3 grid of 2x2 blocks
+        // block (1, 2) of a 4x6 split as a 2x3 grid of 2x2 blocks
         let m: Matrix<i64> = Matrix::from_fn(4, 6, |i, j| (i * 6 + j) as i64);
         let v = m.view();
-        let blk = v.grid_block_rect(2, 3, 1, 2);
+        let blk = v.block(2, 4, 2, 2);
         assert_eq!((blk.rows(), blk.cols()), (2, 2));
         assert_eq!(blk.get(0, 0), 16);
         assert_eq!(blk.get(1, 1), 23);
-        // 1xg and gx1 grids degenerate to row/column strips
-        let strip = v.grid_block_rect(1, 3, 0, 1);
+        // a 1x3 grid's blocks are column strips
+        let strip = v.block(0, 2, 4, 2);
         assert_eq!((strip.rows(), strip.cols()), (4, 2));
         assert_eq!(strip.get(3, 0), 20);
         let mut m2: Matrix<i64> = Matrix::zeros(4, 6);
-        m2.view_mut().grid_block_rect_mut(2, 3, 1, 2).set(0, 1, 7);
+        m2.view_mut().block_mut(2, 4, 2, 2).set(0, 1, 7);
         assert_eq!(m2[(2, 5)], 7);
     }
 
@@ -668,7 +628,7 @@ mod tests {
         let mut m: Matrix<i64> = Matrix::zeros(4, 4);
         {
             let mut v = m.view_mut();
-            let mut q = v.grid_block_mut(2, 0, 1); // upper-right quadrant
+            let mut q = v.block_mut(0, 2, 2, 2); // upper-right quadrant
             q.set(0, 0, 42);
             q.set(1, 1, 7);
         }
@@ -692,7 +652,7 @@ mod tests {
     #[test]
     fn copy_from_and_to_matrix_roundtrip() {
         let m: Matrix<i64> = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as i64);
-        let q = m.view().grid_block(2, 1, 1).to_matrix();
+        let q = m.view().block(2, 2, 2, 2).to_matrix();
         assert_eq!(q.as_slice(), &[10, 11, 14, 15]);
         let mut out: Matrix<i64> = Matrix::zeros(2, 2);
         out.view_mut().copy_from(q.view());

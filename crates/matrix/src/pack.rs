@@ -45,10 +45,15 @@
 //! never reorders or reassociates it; the `MC`/`NC`/`MR`/`NR` blocking
 //! only permutes *which* output element is processed when, and dot
 //! products of distinct output elements are independent. Starting from any
-//! `C`, the default build is therefore bit-identical to
-//! [`multiply_kernel_into`] (and, from a zeroed `C`, to `multiply_naive`)
-//! for every [`Scalar`] — which is what lets the determinism suite pin
-//! every engine bitwise against a copy-out recursion over `multiply_naive`.
+//! `C`, the default build therefore matches [`multiply_kernel_into`] (and,
+//! from a zeroed `C`, `multiply_naive`) for every [`Scalar`] bit for bit
+//! at every non-NaN result, and is NaN exactly where they are — which is
+//! what lets the determinism suite pin every engine bitwise against a
+//! copy-out recursion over `multiply_naive`. A NaN's own bits are not
+//! part of the contract: Rust leaves NaN payloads unspecified and the
+//! compiler may commute an addition's operands, so where an input NaN
+//! meets a NaN the hardware generates (`Inf − Inf`), which of the two
+//! comes out can differ between kernels and builds.
 //!
 //! Fused leaves keep these bits. A fold row is computed from zero in
 //! ascending `q` — the first term as `0 ⊕ c·X` with
@@ -746,10 +751,11 @@ mod tests {
     /// The fold written out from zeros the old way: a zeroed block
     /// accumulating every term in ascending `q`.
     fn fold_from_zeros<T: Scalar>(parent: &Matrix<T>, coeffs: &Coeffs, row: usize) -> Matrix<T> {
-        let mut t = Matrix::zeros(parent.rows() / 2, parent.cols() / 2);
+        let (br, bc) = (parent.rows() / 2, parent.cols() / 2);
+        let mut t = Matrix::zeros(br, bc);
         for q in 0..4 {
             t.view_mut().accumulate_scaled(
-                parent.view().grid_block_rect(2, 2, q / 2, q % 2),
+                parent.view().block(q / 2 * br, q % 2 * bc, br, bc),
                 coeffs.get(row, q),
             );
         }

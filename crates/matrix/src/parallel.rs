@@ -685,7 +685,8 @@ mod tests {
                     let mut tm = MatMut::from_slice(&mut ta_old, shape.0, shape.1);
                     for q in 0..bm * bk {
                         tm.accumulate_scaled(
-                            a.view().grid_block_rect(bm, bk, q / bk, q % bk),
+                            a.view()
+                                .block(q / bk * shape.0, q % bk * shape.1, shape.0, shape.1),
                             scheme.u.get(l, q),
                         );
                     }
@@ -695,7 +696,8 @@ mod tests {
                     let mut tm = MatMut::from_slice(&mut tb_old, shape.1, shape.2);
                     for q in 0..bk * bn {
                         tm.accumulate_scaled(
-                            b.view().grid_block_rect(bk, bn, q / bn, q % bn),
+                            b.view()
+                                .block(q / bn * shape.1, q % bn * shape.2, shape.1, shape.2),
                             scheme.v.get(l, q),
                         );
                     }

@@ -125,11 +125,12 @@ fn dfs_rec<T: Scalar>(
         machine.store(wc); // C back to slow memory
         return c;
     }
+    let (sm, sk, sn) = (mm / bm, kk / bk, nn / bn);
     let a_blocks: Vec<Matrix<T>> = (0..bm * bk)
-        .map(|q| a.view().grid_block_rect(bm, bk, q / bk, q % bk).to_matrix())
+        .map(|q| a.view().block(q / bk * sm, q % bk * sk, sm, sk).to_matrix())
         .collect();
     let b_blocks: Vec<Matrix<T>> = (0..bk * bn)
-        .map(|q| b.view().grid_block_rect(bk, bn, q / bn, q % bn).to_matrix())
+        .map(|q| b.view().block(q / bn * sk, q % bn * sn, sk, sn).to_matrix())
         .collect();
     // Block additions run as the scheme's straight-line programs, each op a
     // streaming pass over slow memory (O(1) fast memory). This is where
@@ -143,7 +144,7 @@ fn dfs_rec<T: Scalar>(
     let mut c: Matrix<T> = Matrix::zeros(mm, nn);
     for (q, blk) in c_blocks.iter().enumerate() {
         c.view_mut()
-            .grid_block_rect_mut(bm, bn, q / bn, q % bn)
+            .block_mut(q / bn * sm, q % bn * sn, sm, sn)
             .copy_from(blk.view());
     }
     c

@@ -1,41 +1,36 @@
-//! The event-driven runtime ([`Runtime::Event`]): a cooperative scheduler
-//! over per-rank ready times that executes thousands of simulated ranks
-//! in seconds.
-//!
-//! ## Why the lockstep runtime cannot scale
-//!
-//! The reference runtime materializes a `p×p` channel mesh (5.76 million
-//! channels at p = 2401) and lets `p` OS threads free-run against the
-//! kernel scheduler. The event runtime replaces both:
+//! The runtime of the simulated machine: a cooperative scheduler over
+//! per-rank ready times that executes thousands of simulated ranks in
+//! seconds.
 //!
 //! * **Lazily materialized inboxes** — one `HashMap<(src, tag), queue>`
 //!   per destination rank, so idle rank pairs cost nothing: state is
-//!   `O(p + in-flight messages)`.
+//!   `O(p + in-flight messages)`, not a `p×p` channel mesh.
 //! * **Cooperative scheduling** — exactly one rank runs at a time. Ranks
-//!   still own OS threads (they are stack carriers for the deep CAPS
+//!   own OS threads (they are stack carriers for the deep CAPS
 //!   recursion), but each parks on its own gate until granted. A rank
 //!   runs until its receive blocks on a missing message, then yields to
-//!   the scheduler, which pops the next runnable rank from a priority
-//!   queue ordered by **ready time** (the virtual clock at which the
-//!   rank's pending receive can complete), tie-broken by rank id.
+//!   the scheduler, which grants the ready rank with the least **ready
+//!   time** (the virtual clock at which the rank's pending receive can
+//!   complete), ties broken by ascending rank id.
 //!
-//! The virtual clocks of [`crate::machine`] are computed algebraically
-//! from the send/receive pairing — real execution order never affects
-//! them — so this scheduler changes *scalability and determinism*, never
-//! results: outputs, counters, and clocks are bitwise identical to the
-//! lockstep reference (pinned by `tests/event_lockstep_equiv.rs`).
+//! The clocks of [`crate::machine`] follow from the send/receive pairing
+//! alone, so the grant order decides how fast a simulation runs, not what
+//! it computes (short of two ranks failing on their own, see the machine
+//! docs). The crate's schedule-independence suite checks that under
+//! seeded pseudo-random grant orders, a perturbation compiled into test
+//! builds only. The production order still bounds the real heap:
+//! `tests/caps_heap.rs` holds CAPS's live buffers within 1.1× of the
+//! memory model under it, and most seeded orders exceed that.
 //!
 //! ## Deadlock detection
 //!
 //! When no rank is runnable and some are still alive, the live ranks are
 //! all blocked on each other: a genuine deadlock in the simulated
-//! program. The lockstep runtime hangs forever on such programs; this
-//! runtime poisons the lowest-id blocked rank, which unwinds with a
-//! [`DeadlockPoison`] payload describing the wait, and the run fails
-//! with a [`RankFailed`] naming it (unless a genuine panic elsewhere
-//! outranks it — see `FailureClass` in [`crate::machine`]).
+//! program. The runtime poisons the lowest-id blocked rank, which unwinds
+//! with a [`DeadlockPoison`] payload describing the wait, and the run
+//! fails with a [`RankFailed`] naming it (unless a genuine panic
+//! elsewhere outranks it — see `FailureClass` in [`crate::machine`]).
 //!
-//! [`Runtime::Event`]: crate::machine::Runtime::Event
 //! [`RankFailed`]: crate::machine::RankFailed
 
 use std::cmp::Reverse;
@@ -43,7 +38,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::machine::{
-    collect_results, Endpoint, MachineConfig, Msg, PeerHungUp, Rank, RankFailed, SpmdResult,
+    collect_results, MachineConfig, Msg, PeerHungUp, Rank, RankFailed, SpmdResult,
 };
 
 /// Stack size for simulated-rank threads. The default (8 MiB) would cost
@@ -125,9 +120,7 @@ enum Status {
 }
 
 /// Heap key: the virtual time at which a rank becomes runnable. The
-/// scheduler pops the minimum, tie-broken by rank id, which (with the
-/// strictly serial grant discipline) makes the whole simulation
-/// deterministic.
+/// scheduler pops the minimum, tie-broken by rank id.
 #[derive(PartialEq)]
 struct ReadyAt {
     time: f64,
@@ -166,6 +159,29 @@ struct State {
     poisoned: Vec<bool>,
     /// Ranks not yet `Done`.
     live: usize,
+    /// Seeded grant order of a schedule-independence check (see
+    /// [`with_grant_seed`]); `None` grants in the production order.
+    #[cfg(test)]
+    shuffle: Option<rand::rngs::StdRng>,
+}
+
+impl State {
+    /// The next rank to grant: the least ready time, ties to the lowest id
+    /// (under a test's grant seed, a seeded pick among the ready ranks).
+    fn pop_ready(&mut self) -> Option<usize> {
+        #[cfg(test)]
+        if let Some(rng) = &mut self.shuffle {
+            use rand::Rng;
+            let mut ready = std::mem::take(&mut self.heap).into_vec();
+            if ready.is_empty() {
+                return None;
+            }
+            let Reverse(pick) = ready.swap_remove(rng.gen_range(0..ready.len()));
+            self.heap = ready.into();
+            return Some(pick.rank);
+        }
+        self.heap.pop().map(|Reverse(ready)| ready.rank)
+    }
 }
 
 /// The event machine: state plus the gates carrying the serial control
@@ -257,8 +273,8 @@ fn scheduler(core: &EventCore) {
             if st.live == 0 {
                 return;
             }
-            match st.heap.pop() {
-                Some(Reverse(ReadyAt { rank, .. })) => {
+            match st.pop_ready() {
+                Some(rank) => {
                     debug_assert_eq!(st.status[rank], Status::Ready, "stale heap entry");
                     if st.status[rank] != Status::Ready {
                         continue;
@@ -283,7 +299,7 @@ fn scheduler(core: &EventCore) {
     }
 }
 
-/// Run the SPMD program on the event-driven runtime.
+/// Run the SPMD program on `cfg.p` simulated ranks.
 pub(crate) fn try_run<R, F>(cfg: MachineConfig, f: F) -> Result<SpmdResult<R>, RankFailed>
 where
     R: Send,
@@ -300,6 +316,10 @@ where
             clock_hint: vec![0.0; p],
             poisoned: vec![false; p],
             live: p,
+            #[cfg(test)]
+            shuffle: GRANT_SEED
+                .with(|seed| seed.get())
+                .map(rand::SeedableRng::seed_from_u64),
         }),
         rank_gates: (0..p).map(|_| Gate::new()).collect(),
         sched_gate: Gate::new(),
@@ -322,7 +342,7 @@ where
                         id,
                         core: Arc::clone(&core),
                     };
-                    let mut rank = Rank::with_endpoint(id, cfg, Endpoint::Event(endpoint));
+                    let mut rank = Rank::with_endpoint(id, cfg, endpoint);
                     let res =
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut rank)));
                     let stats = rank.stats_snapshot();
@@ -356,4 +376,31 @@ where
         }
     });
     collect_results(p, results)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The grant seed of machines started on this thread; `None` is the
+    /// production order.
+    static GRANT_SEED: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+}
+
+/// The grant orders a schedule-independence check runs a program under:
+/// the production order and two seeded ones.
+#[cfg(test)]
+pub(crate) const GRANT_ORDERS: [Option<u64>; 3] = [None, Some(1), Some(99)];
+
+/// Run `f` with every machine it starts on this thread granting, instead
+/// of the least ready time, a ready rank drawn from a pseudo-random
+/// sequence seeded by `seed` (`None`: the production order).
+#[cfg(test)]
+pub(crate) fn with_grant_seed<T>(seed: Option<u64>, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<u64>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            GRANT_SEED.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(GRANT_SEED.with(|s| s.replace(seed)));
+    f()
 }

@@ -22,12 +22,14 @@
 //! * Products return to the leader, which decodes them in **ascending
 //!   `l`** with [`fastmm_matrix::arena::decode_product_into`] — the
 //!   sequential decode order.
-//! * Non-divisible levels zero-extend row-wise exactly like the arena
-//!   engine (same [`fastmm_matrix::arena::padded`] target, same
-//!   `zero_extend_from`), and singleton groups run the rank-local arena
-//!   entry point [`fastmm_matrix::arena::multiply_flat`] — which bottoms
-//!   out in the same packed SIMD micro-kernel (`fastmm_matrix::pack`) as
-//!   every other engine, so rank-local compute is near peak too.
+//! * A non-divisible level is zero-extended virtually, as in the arena
+//!   engine: the leader splits its stored operands as if padded to the
+//!   next block-grid multiple (the encode reads past the stored corner as
+//!   zero, the decode writes only `C`'s stored corner), so no rank holds
+//!   a pad buffer. Singleton groups run the rank-local arena entry point
+//!   [`fastmm_matrix::arena::multiply_flat`] — which bottoms out in the
+//!   same packed SIMD micro-kernel (`fastmm_matrix::pack`) as every other
+//!   engine, so rank-local compute is near peak too.
 //!
 //! Because every scalar operation happens in the sequential engine's
 //! order with the sequential engine's kernels, the gathered product is
@@ -38,8 +40,8 @@
 //! opens with a deterministic step
 //! [`barrier`](crate::machine::Rank::barrier) (zero-word messages), so
 //! phases are aligned steps of the simulation and per-phase counters
-//! cannot bleed across levels; leaf and pad levels do no inter-rank work
-//! and pay no barrier.
+//! cannot bleed across levels; leaf levels do no inter-rank work and pay
+//! no barrier.
 //!
 //! The leader-centric exchange is *not* communication-optimal — the top
 //! leader moves `Θ(n²)` words regardless of `P` (it is the plain BFS
@@ -57,9 +59,9 @@
 use crate::caps::{try_caps_scheme, CapsPlan};
 use crate::fault::FaultPlan;
 use crate::frame::{self, Recovery};
-use crate::machine::{try_run_spmd, MachineConfig, Rank, RankFailed, Runtime, SpmdResult};
+use crate::machine::{try_run_spmd, MachineConfig, Rank, RankFailed, SpmdResult};
 use fastmm_matrix::arena::{
-    child_shape, decode_product_into, encode_a_into, encode_b_into, multiply_flat, padded, splits,
+    child_shape, decode_product_into, encode_a_into, encode_b_into, multiply_flat, splits,
     ScratchArena,
 };
 use fastmm_matrix::dense::{MatMut, MatRef, Matrix};
@@ -102,10 +104,6 @@ pub struct DistConfig {
     /// whose projected peak fits — the memory-for-communication trade of
     /// arXiv:1202.3173/3177.
     pub memory_budget: usize,
-    /// Which simulated runtime executes the ranks (default
-    /// [`Runtime::Event`]; [`Runtime::Lockstep`] is the small-`p`
-    /// reference the equivalence suite pins against).
-    pub runtime: Runtime,
     /// Payload-corruption defense mode (default [`Recovery::None`]).
     pub recovery: Recovery,
     /// Deterministic fault schedule injected into the simulated machine
@@ -121,7 +119,6 @@ impl DistConfig {
             p,
             cutoff: 0,
             memory_budget: 0,
-            runtime: Runtime::Event,
             recovery: Recovery::None,
             fault_plan: None,
         }
@@ -139,12 +136,6 @@ impl DistConfig {
         self
     }
 
-    /// Select the simulated runtime backend.
-    pub fn with_runtime(mut self, runtime: Runtime) -> Self {
-        self.runtime = runtime;
-        self
-    }
-
     /// Select the payload-corruption defense mode.
     pub fn with_recovery(mut self, recovery: Recovery) -> Self {
         self.recovery = recovery;
@@ -159,7 +150,7 @@ impl DistConfig {
 
     /// The α-β machine this config runs on (with any fault plan attached).
     pub fn machine(&self) -> MachineConfig {
-        let mut m = MachineConfig::new(self.p).with_runtime(self.runtime);
+        let mut m = MachineConfig::new(self.p);
         if let Some(plan) = &self.fault_plan {
             m = m.with_fault_plan(plan.clone());
         }
@@ -265,7 +256,9 @@ pub const TAG_UP: u64 = 2 << 32;
 pub const TAG_BAR: u64 = 3 << 32;
 /// Tag base of ACK/RETRY control frames ([`Recovery::Abft`] only).
 pub const TAG_CTL: u64 = 4 << 32;
-/// Tag stride per recursion depth; must exceed any scheme rank.
+/// Tag stride per exchange level; must exceed any scheme rank. A
+/// non-divisible level splits virtually padded operands in place, so it
+/// takes no depth index of its own: depth `d` is the `d`-th exchange.
 pub const DEPTH_STRIDE: u64 = 4096;
 
 /// Balanced contiguous partition of `g` ranks into `nsub` subgroups:
@@ -327,36 +320,13 @@ fn dist_node(
         // locally on the arena engine; other ranks have nothing to do.
         return payload.map(|(a, b)| leaf_multiply(ctx, rank, arena, a, b, shape));
     }
-    let pshape = padded(dims, shape);
-    if pshape != shape {
-        // Non-divisible level: the leader zero-extends row-wise to the
-        // same padded target as the sequential engine, recurses, crops.
-        let (mm, kk, nn) = shape;
-        let (pm, pk, pn) = pshape;
-        let new_payload = payload.map(|(a, b)| {
-            let mut pa = vec![0.0f64; pm * pk];
-            MatMut::from_slice(&mut pa, pm, pk).zero_extend_from(MatRef::from_slice(&a, mm, kk));
-            let mut pb = vec![0.0f64; pk * pn];
-            MatMut::from_slice(&mut pb, pk, pn).zero_extend_from(MatRef::from_slice(&b, kk, nn));
-            rank.track_alloc(pm * pk + pk * pn);
-            rank.track_free(a.len() + b.len());
-            (pa, pb)
-        });
-        let pc = dist_node(ctx, rank, arena, group, new_payload, pshape, depth + 1);
-        return pc.map(|pc| {
-            let mut c = vec![0.0f64; mm * nn];
-            MatMut::from_slice(&mut c, mm, nn)
-                .copy_from(MatRef::from_slice(&pc, pm, pn).block(0, 0, mm, nn));
-            rank.track_alloc(mm * nn);
-            rank.track_free(pm * pn);
-            c
-        });
-    }
-    // Splitting level: encode at the leader, exchange, recurse, decode.
+    // Splitting level: encode at the leader, exchange, recurse, decode. A
+    // non-divisible shape splits as if zero-extended to the next grid
+    // multiple: the encodes read past the stored corner as zero and the
+    // decode writes only the stored corner of C.
     // Deterministic step: no rank starts the exchange before every group
-    // member reached it, and clocks align to the slowest. Leaf and pad
-    // levels perform no inter-rank work, so only exchange levels barrier
-    // (a pad level would otherwise pay a redundant ⌈log₂ g⌉ α-rounds).
+    // member reached it, and clocks align to the slowest. Leaf levels
+    // perform no inter-rank work, so only exchange levels barrier.
     rank.barrier(group, TAG_BAR + depth * DEPTH_STRIDE);
     let r = ctx.scheme.r;
     let nsub = g.min(r);
@@ -616,8 +586,8 @@ mod tests {
 
     #[test]
     fn dist_multiply_rectangular_non_divisible_p4() {
-        // ⟨2,4,2;14⟩ on a non-divisible shape across 4 ranks: pad levels
-        // and rectangular grids run through the same exchange.
+        // ⟨2,4,2;14⟩ on a non-divisible shape across 4 ranks: ragged
+        // levels and rectangular grids run through the same exchange.
         let s = winograd_2x4x2();
         let a = sample(6, 17, 3);
         let b = sample(17, 5, 4);
@@ -629,6 +599,21 @@ mod tests {
             "rectangular non-divisible gathered product diverged"
         );
         assert!(c.max_abs_diff(&multiply_naive(&a, &b), |x| x) < 1e-9);
+    }
+
+    #[test]
+    fn a_ragged_level_takes_no_pad_buffer_at_the_leader() {
+        // The leader splits a ragged shape in place instead of holding a
+        // zero-extended copy, so its peak is no larger than at the next
+        // grid multiple.
+        let s = strassen();
+        let cfg = DistConfig::new(7).with_cutoff(2);
+        let leader_peak = |n| {
+            let (a, b) = (sample(n, n, 9), sample(n, n, 10));
+            dist_multiply(&cfg, &s, &a, &b).1.stats[0].mem_high_water
+        };
+        let (ragged, grid) = (leader_peak(15), leader_peak(16));
+        assert!(ragged <= grid, "15³ peaks at {ragged} words, 16³ at {grid}");
     }
 
     #[test]

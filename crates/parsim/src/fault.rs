@@ -4,10 +4,15 @@
 //! faults of two kinds: rank crashes (at the k-th send) and message payload
 //! corruption (flip a chosen bit of a chosen word of a chosen
 //! `(src, dst, tag)` frame). Plans are attached to
-//! [`MachineConfig`](crate::MachineConfig) and enforced inside the shared
-//! [`Rank`](crate::Rank) facade, so `Runtime::Event` and `Runtime::Lockstep`
-//! honor the same plan identically by construction: fault decisions depend
-//! only on per-rank send and frame counters, never on host scheduling.
+//! [`MachineConfig`](crate::MachineConfig) and enforced inside the
+//! [`Rank`](crate::Rank) facade: fault decisions depend only on per-rank
+//! send and frame counters, never on host scheduling or on the order in
+//! which the runtime grants ready ranks. So a plan that kills at most one
+//! rank reports the same failure, or the same recovered gather and
+//! counters, under every grant order the crate's schedule-independence
+//! suite tries. A plan that kills two ranks can race: whether the second
+//! reaches its own fault or first dies observing the first depends on the
+//! grant order, which the production runtime fixes by virtual time.
 //!
 //! Injected failures carry provenance: the three-level failure classifier
 //! reports [`InjectedFault`] (kind, rank, step) through
@@ -72,7 +77,7 @@ impl fmt::Display for InjectedKind {
 
 /// Provenance of an injected failure: which kind, on which rank, at which
 /// per-rank operation step (the rank's operation counter at the moment the
-/// fault fired — deterministic across runtimes).
+/// fault fired — deterministic across grant orders).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct InjectedFault {
     /// The fault kind.
@@ -207,8 +212,8 @@ impl FaultPlan {
     }
 }
 
-/// One compiled corruption rule, tracked on the *sending* rank so both
-/// runtimes corrupt the identical frame.
+/// One compiled corruption rule, tracked on the *sending* rank so every
+/// grant order corrupts the identical frame.
 #[derive(Clone, Debug)]
 pub(crate) struct CorruptRule {
     pub(crate) dst: usize,

@@ -15,7 +15,13 @@
 //!
 //! One cost rule prices every rank and link alike: `α + β·len` at both
 //! ends of a message and `γ·flops` per compute, less an optional overlap
-//! credit (see [`machine`]).
+//! credit (see [`machine`]). One runtime executes the ranks: a cooperative
+//! scheduler that grants one ready rank at a time, least virtual ready
+//! time first. Since the clocks follow from the send/receive pairing
+//! alone, no result depends on that order (short of two ranks failing on
+//! their own); the crate's schedule-independence suite re-runs every
+//! engine under seeded grant orders and checks the gathers, counters,
+//! clocks and failure reports bit for bit.
 //!
 //! Resilience: [`fault`] is the deterministic fault-injection layer
 //! (rank crashes at a chosen send and frame corruption as a
@@ -34,7 +40,6 @@ pub mod exec;
 pub mod fault;
 mod frame;
 pub mod grid3d;
-mod lockstep;
 pub mod machine;
 
 pub use caps::{caps, caps_scheme, CapsPlan, Step};
@@ -44,6 +49,7 @@ pub use exec::{
 };
 pub use fault::{Fault, FaultPlan, InjectedFault, InjectedKind};
 pub use frame::Recovery;
-pub use machine::{
-    run_spmd, try_run_spmd, MachineConfig, Rank, RankFailed, RankStats, Runtime, SpmdResult,
-};
+pub use machine::{run_spmd, try_run_spmd, MachineConfig, Rank, RankFailed, RankStats, SpmdResult};
+
+#[cfg(test)]
+mod schedule_independence;

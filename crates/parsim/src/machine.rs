@@ -11,24 +11,22 @@
 //! Sends are buffered (they never block), which keeps shift/exchange
 //! patterns deadlock-free while preserving the α-β accounting.
 //!
-//! Two interchangeable runtimes execute the ranks (see [`Runtime`]):
-//!
-//! * [`Runtime::Event`] (default) — an event-driven cooperative scheduler:
-//!   ranks yield only when a receive blocks, a priority queue over per-rank
-//!   ready times picks the next rank to run, and per-destination inboxes
-//!   are materialized lazily, so state is `O(p + in-flight messages)`
-//!   rather than the `O(p²)` channel mesh. Thousands of simulated ranks
-//!   (p = 2401 and beyond) execute in seconds, deterministically, and a
-//!   cycle of ranks all blocked on each other is *detected* and reported
-//!   as a [`RankFailed`] deadlock instead of hanging the process.
-//! * [`Runtime::Lockstep`] — the original runtime retained as a semantic
-//!   reference: one OS thread per rank over an eager `p×p` channel mesh.
-//!   The equivalence test suite pins the event runtime to it bitwise.
+//! One runtime executes the ranks (the crate's `event` module): a
+//! cooperative scheduler in which ranks yield only when a receive blocks,
+//! the ready rank with the least ready time runs next, and
+//! per-destination inboxes are materialized lazily, so state is
+//! `O(p + in-flight messages)`. Thousands of simulated ranks (p = 2401 and
+//! beyond) execute in seconds, deterministically, and a cycle of ranks all
+//! blocked on each other is *detected* and reported as a [`RankFailed`]
+//! deadlock instead of hanging the process.
 //!
 //! The virtual clocks are computed algebraically from the send/receive
-//! pairing, so the *real* execution order never affects them: both
-//! runtimes produce identical outputs, counters, and clocks for any
-//! deadlock-free program.
+//! pairing, so the *real* execution order never affects them: any order
+//! of granting ready ranks produces identical outputs, counters and
+//! clocks, and the same failure report unless two ranks fail on their own
+//! (then the order decides whether the second still reaches its own
+//! failure or first dies observing the other). The crate's
+//! schedule-independence suite checks this under seeded grant orders.
 //!
 //! One cost rule prices every operation, the same on every rank and
 //! link: `α + β·len` at both ends of a message and `γ·flops` per compute.
@@ -38,26 +36,13 @@
 //! that fraction of each compute interval as credit that hides later
 //! communication cost on the same rank. [`MachineConfig::with_fault_plan`]
 //! attaches a deterministic [`FaultPlan`] of injected rank crashes and
-//! frame corruptions, enforced identically by both runtimes inside this
-//! shared facade.
+//! frame corruptions, enforced inside the [`Rank`] facade from per-rank
+//! counters alone.
 
 use std::sync::Arc;
 
+use crate::event::EventEndpoint;
 use crate::fault::{FaultPlan, InjectedCrash, InjectedFault, InjectedKind, RankFaults};
-
-/// Which simulated runtime executes the SPMD ranks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Runtime {
-    /// Event-driven cooperative scheduler (default): a priority queue over
-    /// per-rank ready times, lazily materialized inboxes, one runnable
-    /// rank at a time. Scales to thousands of ranks and detects deadlock.
-    #[default]
-    Event,
-    /// The reference runtime: one free-running OS thread per rank over an
-    /// eager `p×p` channel mesh. `O(p²)` setup — fine for small `p`, kept
-    /// as the semantic baseline the event runtime is tested against.
-    Lockstep,
-}
 
 /// Cost model and size of the machine.
 ///
@@ -80,8 +65,6 @@ pub struct MachineConfig {
     pub overlap: f64,
     /// Deterministic fault schedule; `None` injects nothing.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Runtime backend executing the ranks.
-    pub runtime: Runtime,
 }
 
 impl MachineConfig {
@@ -94,7 +77,6 @@ impl MachineConfig {
             gamma: 0.0,
             overlap: 0.0,
             faults: None,
-            runtime: Runtime::Event,
         }
     }
 
@@ -124,12 +106,6 @@ impl MachineConfig {
             "overlap factor {overlap} outside [0, 1]"
         );
         self.overlap = overlap;
-        self
-    }
-
-    /// Select the runtime backend.
-    pub fn with_runtime(mut self, runtime: Runtime) -> Self {
-        self.runtime = runtime;
         self
     }
 
@@ -181,8 +157,8 @@ pub(crate) struct Msg {
 /// naming the **originating** rank. When one rank dies, every peer blocked
 /// on it observes the death — those ranks are victims of the failure, not
 /// causes, and are filtered out so the root cause is never buried under
-/// the cascade. Under [`Runtime::Event`] a cycle of live ranks all blocked
-/// on each other is also reported here (as a deadlock) instead of hanging.
+/// the cascade. A cycle of live ranks all blocked on each other is also
+/// reported here (as a deadlock) instead of hanging.
 #[derive(Debug, Clone)]
 pub struct RankFailed {
     /// The rank whose closure panicked first (lowest id among genuine
@@ -274,12 +250,6 @@ impl<R> SpmdResult<R> {
     }
 }
 
-/// Transport backing a [`Rank`]: which runtime carries its messages.
-pub(crate) enum Endpoint {
-    Lockstep(crate::lockstep::LockstepEndpoint),
-    Event(crate::event::EventEndpoint),
-}
-
 /// One simulated processor, handed to the SPMD closure.
 pub struct Rank {
     /// This rank's id in `0..p`.
@@ -290,7 +260,7 @@ pub struct Rank {
     /// Unspent overlap credit (seconds of communication hidable behind
     /// already-performed compute).
     credit: f64,
-    endpoint: Endpoint,
+    endpoint: EventEndpoint,
     stats: RankStats,
     mem_now: usize,
     /// Compiled per-rank view of the fault plan (empty when none).
@@ -304,7 +274,7 @@ pub struct Rank {
 }
 
 impl Rank {
-    pub(crate) fn with_endpoint(id: usize, cfg: MachineConfig, endpoint: Endpoint) -> Self {
+    pub(crate) fn with_endpoint(id: usize, cfg: MachineConfig, endpoint: EventEndpoint) -> Self {
         let faults = match &cfg.faults {
             Some(plan) => plan.compile(id),
             None => RankFaults::default(),
@@ -402,7 +372,7 @@ impl Rank {
         // Corruption flips a bit of the *delivered* copy only: any
         // application-level resend from the sender's own buffers starts
         // from clean data. Decided purely by per-rank frame counters, so
-        // both runtimes corrupt the identical frame.
+        // every grant order corrupts the identical frame.
         for rule in &mut self.faults.corrupt {
             if let Some((word, bit)) = rule.observe(to, tag) {
                 if let Some(w) = data.get_mut(word) {
@@ -420,11 +390,7 @@ impl Rank {
             data,
             sent_at: self.stats.clock,
         };
-        let delivered = match &mut self.endpoint {
-            Endpoint::Lockstep(ep) => ep.send(to, msg),
-            Endpoint::Event(ep) => ep.send(to, msg),
-        };
-        if !delivered {
+        if !self.endpoint.send(to, msg) {
             // The destination rank died; unwind as a cascade victim so
             // `try_run_spmd` reports the peer's panic, not this one.
             std::panic::panic_any(PeerHungUp);
@@ -437,11 +403,7 @@ impl Rank {
     pub fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
         assert!(from < self.p && from != self.id, "invalid source {from}");
         self.ops += 1;
-        let clock = self.stats.clock;
-        let msg = match &mut self.endpoint {
-            Endpoint::Lockstep(ep) => ep.recv(from, tag),
-            Endpoint::Event(ep) => ep.recv(from, tag, clock),
-        };
+        let msg = self.endpoint.recv(from, tag, self.stats.clock);
         let len = msg.data.len();
         let charged = self.charge_message(len);
         self.stats.clock = self.stats.clock.max(msg.sent_at) + charged;
@@ -585,18 +547,14 @@ where
 /// returns [`RankFailed`] naming the originating rank if any closure
 /// panics. Each rank runs under `catch_unwind`; ranks that die observing a
 /// dead peer (their peer panicked first) are classified as cascade victims
-/// and never reported as the cause. Under [`Runtime::Event`], a deadlock
-/// (all live ranks blocked on each other) is detected and reported too —
-/// the lockstep runtime would hang forever on such a program.
+/// and never reported as the cause. A deadlock (all live ranks blocked on
+/// each other) is detected and reported too.
 pub fn try_run_spmd<R, F>(cfg: MachineConfig, f: F) -> Result<SpmdResult<R>, RankFailed>
 where
     R: Send,
     F: Fn(&mut Rank) -> R + Sync,
 {
-    match cfg.runtime {
-        Runtime::Event => crate::event::try_run(cfg, f),
-        Runtime::Lockstep => crate::lockstep::try_run(cfg, f),
-    }
+    crate::event::try_run(cfg, f)
 }
 
 /// Failure class of a dead rank, for picking the reported root cause.
@@ -615,8 +573,7 @@ pub(crate) type RankOutcome<R> = Result<(R, RankStats), Box<dyn std::any::Any + 
 
 /// Fold per-rank `catch_unwind` results into an [`SpmdResult`] or the
 /// single [`RankFailed`] naming the root cause: the lowest-id rank of the
-/// most-causal [`FailureClass`] present. Shared by both runtimes so their
-/// classifications can never drift.
+/// most-causal [`FailureClass`] present.
 pub(crate) fn collect_results<R>(
     p: usize,
     results: Vec<(usize, RankOutcome<R>)>,
@@ -681,23 +638,43 @@ pub(crate) fn collect_results<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{with_grant_seed, GRANT_ORDERS};
 
-    const BOTH: [Runtime; 2] = [Runtime::Event, Runtime::Lockstep];
+    /// `try_run_spmd` under every grant order of [`GRANT_ORDERS`].
+    fn try_each_order<R: Send>(
+        cfg: MachineConfig,
+        f: impl Fn(&mut Rank) -> R + Sync,
+    ) -> Vec<Result<SpmdResult<R>, RankFailed>> {
+        GRANT_ORDERS
+            .iter()
+            .map(|&seed| with_grant_seed(seed, || try_run_spmd(cfg.clone(), &f)))
+            .collect()
+    }
+
+    /// `run_spmd` under every grant order of [`GRANT_ORDERS`].
+    fn run_each_order<R: Send>(
+        cfg: MachineConfig,
+        f: impl Fn(&mut Rank) -> R + Sync,
+    ) -> Vec<SpmdResult<R>> {
+        try_each_order(cfg, f)
+            .into_iter()
+            .map(|res| res.unwrap_or_else(|e| panic!("{e}")))
+            .collect()
+    }
 
     #[test]
     fn ping_pong_counts_and_clocks() {
-        for rt in BOTH {
-            let cfg = MachineConfig::new(2).with_beta(0.5).with_runtime(rt);
-            let res = run_spmd(cfg, |rank| {
-                if rank.id == 0 {
-                    rank.send(1, 7, vec![1.0, 2.0, 3.0, 4.0]);
-                    rank.recv(1, 8)
-                } else {
-                    let v = rank.recv(0, 7);
-                    rank.send(0, 8, v.clone());
-                    v
-                }
-            });
+        let cfg = MachineConfig::new(2).with_beta(0.5);
+        for res in run_each_order(cfg, |rank| {
+            if rank.id == 0 {
+                rank.send(1, 7, vec![1.0, 2.0, 3.0, 4.0]);
+                rank.recv(1, 8)
+            } else {
+                let v = rank.recv(0, 7);
+                rank.send(0, 8, v.clone());
+                v
+            }
+        }) {
             assert_eq!(res.outputs[0], vec![1.0, 2.0, 3.0, 4.0]);
             assert_eq!(res.stats[0].words_sent, 4);
             assert_eq!(res.stats[0].words_received, 4);
@@ -706,8 +683,7 @@ mod tests {
             // ends 9; r0 recv ends max(3,9)+3 = 12
             assert!(
                 (res.stats[0].clock - 12.0).abs() < 1e-9,
-                "{:?}: {}",
-                rt,
+                "{}",
                 res.stats[0].clock
             );
             assert!((res.critical_path_time() - 12.0).abs() < 1e-9);
@@ -716,76 +692,68 @@ mod tests {
 
     #[test]
     fn tag_matching_out_of_order() {
-        for rt in BOTH {
-            let cfg = MachineConfig::new(2).with_runtime(rt);
-            let res = run_spmd(cfg, |rank| {
-                if rank.id == 0 {
-                    rank.send(1, 1, vec![1.0]);
-                    rank.send(1, 2, vec![2.0]);
-                    vec![]
-                } else {
-                    // receive in reverse tag order
-                    let b = rank.recv(0, 2);
-                    let a = rank.recv(0, 1);
-                    vec![a[0], b[0]]
-                }
-            });
-            assert_eq!(res.outputs[1], vec![1.0, 2.0], "{rt:?}");
+        for res in run_each_order(MachineConfig::new(2), |rank| {
+            if rank.id == 0 {
+                rank.send(1, 1, vec![1.0]);
+                rank.send(1, 2, vec![2.0]);
+                vec![]
+            } else {
+                // receive in reverse tag order
+                let b = rank.recv(0, 2);
+                let a = rank.recv(0, 1);
+                vec![a[0], b[0]]
+            }
+        }) {
+            assert_eq!(res.outputs[1], vec![1.0, 2.0]);
         }
     }
 
     #[test]
     fn exchange_does_not_deadlock() {
-        for rt in BOTH {
-            let cfg = MachineConfig::new(4).with_runtime(rt);
-            let res = run_spmd(cfg, |rank| {
-                let to = (rank.id + 1) % rank.p;
-                let from = (rank.id + rank.p - 1) % rank.p;
-                let got = rank.sendrecv(to, 0, vec![rank.id as f64], from);
-                got[0]
-            });
+        for res in run_each_order(MachineConfig::new(4), |rank| {
+            let to = (rank.id + 1) % rank.p;
+            let from = (rank.id + rank.p - 1) % rank.p;
+            let got = rank.sendrecv(to, 0, vec![rank.id as f64], from);
+            got[0]
+        }) {
             for r in 0..4 {
-                assert_eq!(res.outputs[r], ((r + 3) % 4) as f64, "{rt:?}");
+                assert_eq!(res.outputs[r], ((r + 3) % 4) as f64);
             }
         }
     }
 
     #[test]
     fn bcast_delivers_to_all() {
-        for rt in BOTH {
-            let cfg = MachineConfig::new(7).with_runtime(rt);
-            let res = run_spmd(cfg, |rank| {
-                let group: Vec<usize> = (0..rank.p).collect();
-                let data = if rank.id == 0 {
-                    Some(vec![3.25, 1.5])
-                } else {
-                    None
-                };
-                rank.bcast(&group, 99, data)
-            });
+        for res in run_each_order(MachineConfig::new(7), |rank| {
+            let group: Vec<usize> = (0..rank.p).collect();
+            let data = if rank.id == 0 {
+                Some(vec![3.25, 1.5])
+            } else {
+                None
+            };
+            rank.bcast(&group, 99, data)
+        }) {
             for r in 0..7 {
-                assert_eq!(res.outputs[r], vec![3.25, 1.5], "{rt:?} rank {r}");
+                assert_eq!(res.outputs[r], vec![3.25, 1.5], "rank {r}");
             }
         }
     }
 
     #[test]
     fn bcast_subgroup_and_nonzero_root() {
-        for rt in BOTH {
-            let cfg = MachineConfig::new(6).with_runtime(rt);
-            let res = run_spmd(cfg, |rank| {
-                if rank.id % 2 == 0 {
-                    let group = vec![4usize, 0, 2]; // root = 4
-                    let data = if rank.id == 4 {
-                        Some(vec![rank.id as f64])
-                    } else {
-                        None
-                    };
-                    rank.bcast(&group, 5, data)
+        for res in run_each_order(MachineConfig::new(6), |rank| {
+            if rank.id % 2 == 0 {
+                let group = vec![4usize, 0, 2]; // root = 4
+                let data = if rank.id == 4 {
+                    Some(vec![rank.id as f64])
                 } else {
-                    vec![-1.0]
-                }
-            });
+                    None
+                };
+                rank.bcast(&group, 5, data)
+            } else {
+                vec![-1.0]
+            }
+        }) {
             assert_eq!(res.outputs[0], vec![4.0]);
             assert_eq!(res.outputs[2], vec![4.0]);
             assert_eq!(res.outputs[1], vec![-1.0]);
@@ -794,28 +762,24 @@ mod tests {
 
     #[test]
     fn reduce_sums_at_root() {
-        for rt in BOTH {
-            let cfg = MachineConfig::new(8).with_runtime(rt);
-            let res = run_spmd(cfg, |rank| {
-                let group: Vec<usize> = (0..rank.p).collect();
-                rank.reduce_sum(&group, 3, vec![rank.id as f64, 1.0])
-            });
+        for res in run_each_order(MachineConfig::new(8), |rank| {
+            let group: Vec<usize> = (0..rank.p).collect();
+            rank.reduce_sum(&group, 3, vec![rank.id as f64, 1.0])
+        }) {
             assert_eq!(res.outputs[0], Some(vec![28.0, 8.0]));
             for r in 1..8 {
-                assert!(res.outputs[r].is_none(), "{rt:?} rank {r}");
+                assert!(res.outputs[r].is_none(), "rank {r}");
             }
         }
     }
 
     #[test]
     fn reduce_non_power_of_two() {
-        for rt in BOTH {
-            let cfg = MachineConfig::new(5).with_runtime(rt);
-            let res = run_spmd(cfg, |rank| {
-                let group: Vec<usize> = (0..rank.p).collect();
-                rank.reduce_sum(&group, 3, vec![1.0])
-            });
-            assert_eq!(res.outputs[0], Some(vec![5.0]), "{rt:?}");
+        for res in run_each_order(MachineConfig::new(5), |rank| {
+            let group: Vec<usize> = (0..rank.p).collect();
+            rank.reduce_sum(&group, 3, vec![1.0])
+        }) {
+            assert_eq!(res.outputs[0], Some(vec![5.0]));
         }
     }
 
@@ -824,16 +788,14 @@ mod tests {
         // Rank 2 arrives late (large compute); after the barrier every
         // rank's clock is at least rank 2's arrival time, and no words
         // moved.
-        for rt in BOTH {
-            let cfg = MachineConfig::new(5).with_gamma(1.0).with_runtime(rt);
-            let res = run_spmd(cfg, |rank| {
-                if rank.id == 2 {
-                    rank.compute(1000); // clock 1000
-                }
-                let group: Vec<usize> = (0..rank.p).collect();
-                rank.barrier(&group, 77);
-                0
-            });
+        for res in run_each_order(MachineConfig::new(5).with_gamma(1.0), |rank| {
+            if rank.id == 2 {
+                rank.compute(1000); // clock 1000
+            }
+            let group: Vec<usize> = (0..rank.p).collect();
+            rank.barrier(&group, 77);
+            0
+        }) {
             for s in &res.stats {
                 assert!(s.clock >= 1000.0, "clock {} below the straggler", s.clock);
                 assert_eq!(s.words_sent + s.words_received, 0);
@@ -844,15 +806,13 @@ mod tests {
 
     #[test]
     fn barrier_on_subgroup_and_singleton() {
-        for rt in BOTH {
-            let cfg = MachineConfig::new(4).with_runtime(rt);
-            let res = run_spmd(cfg, |rank| {
-                if rank.id < 2 {
-                    rank.barrier(&[0, 1], 5);
-                }
-                rank.barrier(&[rank.id], 9); // singleton: no-op
-                rank.id
-            });
+        for res in run_each_order(MachineConfig::new(4), |rank| {
+            if rank.id < 2 {
+                rank.barrier(&[0, 1], 5);
+            }
+            rank.barrier(&[rank.id], 9); // singleton: no-op
+            rank.id
+        }) {
             assert_eq!(res.stats[0].msgs_sent, 1);
             assert_eq!(res.stats[3].msgs_sent, 0);
         }
@@ -863,17 +823,15 @@ mod tests {
         // Rank 2 panics; ranks blocked receiving from it die observing the
         // death. The error must name rank 2 with its payload, not a
         // cascade victim and not a generic "rank panicked".
-        for rt in BOTH {
-            let cfg = MachineConfig::new(4).with_runtime(rt);
-            let err = try_run_spmd(cfg, |rank| {
-                if rank.id == 2 {
-                    panic!("boom at rank {}", rank.id);
-                }
-                // every other rank waits on the dead rank: pure cascade
-                rank.recv(2, 0)
-            })
-            .expect_err("run must fail");
-            assert_eq!(err.rank, 2, "{rt:?}: originating rank identified: {err}");
+        for res in try_each_order(MachineConfig::new(4), |rank| {
+            if rank.id == 2 {
+                panic!("boom at rank {}", rank.id);
+            }
+            // every other rank waits on the dead rank: pure cascade
+            rank.recv(2, 0)
+        }) {
+            let err = res.expect_err("run must fail");
+            assert_eq!(err.rank, 2, "originating rank identified: {err}");
             assert!(
                 err.payload.contains("boom at rank 2"),
                 "payload preserved: {err}"
@@ -885,13 +843,15 @@ mod tests {
 
     #[test]
     fn run_spmd_panic_names_originating_rank() {
-        for rt in BOTH {
+        for seed in GRANT_ORDERS {
             let caught = std::panic::catch_unwind(|| {
-                run_spmd(MachineConfig::new(3).with_runtime(rt), |rank| {
-                    if rank.id == 1 {
-                        panic!("injected");
-                    }
-                    rank.recv(1, 9)
+                with_grant_seed(seed, || {
+                    run_spmd(MachineConfig::new(3), |rank| {
+                        if rank.id == 1 {
+                            panic!("injected");
+                        }
+                        rank.recv(1, 9)
+                    })
                 })
             })
             .expect_err("must propagate");
@@ -905,17 +865,15 @@ mod tests {
 
     #[test]
     fn successful_run_round_trips_through_try() {
-        for rt in BOTH {
-            let res = try_run_spmd(MachineConfig::new(2).with_runtime(rt), |rank| {
-                if rank.id == 0 {
-                    rank.send(1, 1, vec![2.5]);
-                    0.0
-                } else {
-                    rank.recv(0, 1)[0]
-                }
-            })
-            .expect("clean run");
-            assert_eq!(res.outputs, vec![0.0, 2.5], "{rt:?}");
+        for res in try_each_order(MachineConfig::new(2), |rank| {
+            if rank.id == 0 {
+                rank.send(1, 1, vec![2.5]);
+                0.0
+            } else {
+                rank.recv(0, 1)[0]
+            }
+        }) {
+            assert_eq!(res.expect("clean run").outputs, vec![0.0, 2.5]);
         }
     }
 
@@ -949,21 +907,21 @@ mod tests {
 
     #[test]
     fn deadlock_is_detected_not_hung() {
-        // Both ranks receive from each other with no matching sends. The
-        // lockstep runtime would hang forever on this program; the event
-        // runtime must detect the cycle and name the lowest blocked rank.
-        let cfg = MachineConfig::new(2); // Runtime::Event is the default
-        let err = try_run_spmd(cfg, |rank| {
+        // Both ranks receive from each other with no matching sends: the
+        // runtime must detect the cycle and name the lowest blocked rank
+        // instead of hanging.
+        for res in try_each_order(MachineConfig::new(2), |rank| {
             let peer = 1 - rank.id;
             rank.recv(peer, 42)
-        })
-        .expect_err("deadlock must be reported");
-        assert_eq!(err.rank, 0, "lowest blocked rank named: {err}");
-        assert!(err.payload.contains("deadlock"), "describes itself: {err}");
-        assert!(
-            err.payload.contains("rank 1") && err.payload.contains("tag 42"),
-            "names the awaited peer and tag: {err}"
-        );
+        }) {
+            let err = res.expect_err("deadlock must be reported");
+            assert_eq!(err.rank, 0, "lowest blocked rank named: {err}");
+            assert!(err.payload.contains("deadlock"), "describes itself: {err}");
+            assert!(
+                err.payload.contains("rank 1") && err.payload.contains("tag 42"),
+                "names the awaited peer and tag: {err}"
+            );
+        }
     }
 
     #[test]
@@ -971,51 +929,49 @@ mod tests {
         // Rank 2 panics while ranks 0 and 1 are deadlocked between
         // themselves: the report must name the real panic, not the
         // (lower-id) deadlock poison victim.
-        let cfg = MachineConfig::new(3);
-        let err = try_run_spmd(cfg, |rank| match rank.id {
+        for res in try_each_order(MachineConfig::new(3), |rank| match rank.id {
             0 => rank.recv(1, 0),
             1 => rank.recv(0, 0),
             _ => panic!("real failure"),
-        })
-        .expect_err("must fail");
-        assert_eq!(err.rank, 2, "genuine panic wins: {err}");
-        assert!(err.payload.contains("real failure"), "{err}");
+        }) {
+            let err = res.expect_err("must fail");
+            assert_eq!(err.rank, 2, "genuine panic wins: {err}");
+            assert!(err.payload.contains("real failure"), "{err}");
+        }
     }
 
     #[test]
     fn overlap_credit_hides_communication() {
-        for rt in BOTH {
-            let cfg = MachineConfig::new(2)
-                .with_beta(0.5)
-                .with_gamma(1.0)
-                .with_overlap(0.5)
-                .with_runtime(rt);
-            let res = run_spmd(cfg, |rank| {
-                if rank.id == 0 {
-                    // clock 10, credit 5 after computing.
-                    rank.compute(10);
-                    // each send costs 1 + 0.5·4 = 3 raw: the first is fully
-                    // hidden (credit 5 → 2), the second is charged 1.
-                    rank.send(1, 0, vec![0.0; 4]);
-                    rank.send(1, 1, vec![0.0; 4]);
-                } else {
-                    // no compute → no credit: receives are charged in full.
-                    rank.recv(0, 0);
-                    rank.recv(0, 1);
-                }
-                0
-            });
+        let cfg = MachineConfig::new(2)
+            .with_beta(0.5)
+            .with_gamma(1.0)
+            .with_overlap(0.5);
+        for res in run_each_order(cfg, |rank| {
+            if rank.id == 0 {
+                // clock 10, credit 5 after computing.
+                rank.compute(10);
+                // each send costs 1 + 0.5·4 = 3 raw: the first is fully
+                // hidden (credit 5 → 2), the second is charged 1.
+                rank.send(1, 0, vec![0.0; 4]);
+                rank.send(1, 1, vec![0.0; 4]);
+            } else {
+                // no compute → no credit: receives are charged in full.
+                rank.recv(0, 0);
+                rank.recv(0, 1);
+            }
+            0
+        }) {
             // r0: 10 + 0 + 1 = 11. r1: max(0, 10) + 3 = 13; max(13, 11) + 3 = 16.
-            assert!((res.stats[0].clock - 11.0).abs() < 1e-12, "{rt:?}");
-            assert!((res.stats[1].clock - 16.0).abs() < 1e-12, "{rt:?}");
+            assert!((res.stats[0].clock - 11.0).abs() < 1e-12);
+            assert!((res.stats[1].clock - 16.0).abs() < 1e-12);
         }
     }
 
     #[test]
     fn event_runtime_is_deterministic_bitwise() {
-        // The event scheduler is serial and its grant order deterministic:
-        // two runs of a compute+shift program agree bit-for-bit on every
-        // counter and clock, and match the lockstep reference bitwise.
+        // Two runs of a compute+shift program in the production order
+        // agree bit-for-bit on every counter and clock, and so does every
+        // seeded grant order.
         let program = |rank: &mut Rank| {
             rank.compute((rank.id as u64 + 1) * 37);
             let to = (rank.id + 1) % rank.p;
@@ -1023,22 +979,15 @@ mod tests {
             let got = rank.sendrecv(to, 5, vec![rank.id as f64; 3], from);
             got[0]
         };
-        let run = |rt| {
-            run_spmd(
-                MachineConfig::new(6).with_gamma(0.75).with_runtime(rt),
-                program,
-            )
-        };
-        let a = run(Runtime::Event);
-        let b = run(Runtime::Event);
-        let c = run(Runtime::Lockstep);
-        for r in 0..6 {
-            assert_eq!(a.outputs[r].to_bits(), b.outputs[r].to_bits());
-            assert_eq!(a.outputs[r].to_bits(), c.outputs[r].to_bits());
-            assert_eq!(a.stats[r].clock.to_bits(), b.stats[r].clock.to_bits());
-            assert_eq!(a.stats[r].clock.to_bits(), c.stats[r].clock.to_bits());
-            assert_eq!(a.stats[r].words_sent, c.stats[r].words_sent);
-            assert_eq!(a.stats[r].msgs_received, c.stats[r].msgs_received);
+        let cfg = MachineConfig::new(6).with_gamma(0.75);
+        let a = run_spmd(cfg.clone(), program);
+        for b in run_each_order(cfg, program) {
+            for r in 0..6 {
+                assert_eq!(a.outputs[r].to_bits(), b.outputs[r].to_bits());
+                assert_eq!(a.stats[r].clock.to_bits(), b.stats[r].clock.to_bits());
+                assert_eq!(a.stats[r].words_sent, b.stats[r].words_sent);
+                assert_eq!(a.stats[r].msgs_received, b.stats[r].msgs_received);
+            }
         }
     }
 }

@@ -4,19 +4,18 @@
 //! bitwise-identical outcome — the same failure report
 //! (rank, payload, injected provenance) when the run dies, the same
 //! gather bits and recovery counters when it survives — across repeated
-//! runs of the event-driven runtime, and across the event-driven and
-//! lockstep runtimes whenever at most one rank can be killed.
+//! runs.
 //!
-//! With rank-killing rules on two ranks, the lockstep runtime's outcome
-//! depends on OS thread order: the second target may reach its own crash
-//! or first die sending to the already-dead rank. The event runtime
-//! decides that race by virtual time, so only the event legs run on such
-//! plans.
+//! Plans that kill two ranks are included: the second target may reach
+//! its own crash or first die sending to the already-dead rank, and the
+//! runtime decides that race by virtual time, the same way every run.
+//! That a plan killing at most one rank reports the same outcome under
+//! every grant order is a case of the crate's schedule-independence
+//! suite, which alone can perturb the order.
 
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::scheme::strassen;
 use fastmm_parsim::exec::{try_dist_multiply, DistConfig};
-use fastmm_parsim::machine::Runtime;
 use fastmm_parsim::{FaultPlan, Recovery};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -80,7 +79,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn any_plan_is_deterministic_across_runs_and_runtimes(
+    fn any_plan_is_deterministic_across_runs(
         seed in any::<u64>(),
         crash_send in (any::<bool>(), 0usize..P, any::<u64>()),
         corrupt in (any::<bool>(), any::<usize>(), any::<u64>(), any::<usize>(), any::<u32>()),
@@ -99,31 +98,13 @@ proptest! {
             crash_send.0.then_some((crash_send.1, crash_send.2)),
             corrupt.0.then_some((corrupt.1, corrupt.2, corrupt.3, corrupt.4)),
         );
-        // Ranks a rule can kill: the crash target, and the receiver of a
-        // corrupted frame under Detect (it aborts on the bad checksum).
-        let mut killed: Vec<usize> = [
-            crash_send.0.then_some(crash_send.1 % P),
-            (corrupt.0 && recovery == Recovery::Detect).then_some(1 + corrupt.1 % (P - 1)),
-        ]
-        .into_iter()
-        .flatten()
-        .collect();
-        killed.sort_unstable();
-        killed.dedup();
-        let run = |rt| {
+        let run = || {
             let cfg = DistConfig::new(P)
                 .with_cutoff(2)
-                .with_runtime(rt)
                 .with_recovery(recovery)
                 .with_fault_plan(plan.clone());
             outcome(try_dist_multiply(&cfg, &s, &a, &b))
         };
-        let ev1 = run(Runtime::Event);
-        let ev2 = run(Runtime::Event);
-        prop_assert_eq!(&ev1, &ev2, "event runtime not repeatable for plan {:?}", &plan);
-        if killed.len() <= 1 {
-            let ls = run(Runtime::Lockstep);
-            prop_assert_eq!(&ev1, &ls, "runtimes disagree for plan {:?}", &plan);
-        }
+        prop_assert_eq!(run(), run(), "not repeatable for plan {:?}", &plan);
     }
 }

@@ -1,9 +1,11 @@
-//! End-to-end fault injection and recovery for the distributed engine:
-//! scheduled crashes surface with provenance on both runtimes, silent
+//! End-to-end corruption recovery for the distributed engine: silent
 //! corruption is silent only in `Recovery::None`, `Recovery::Detect`
 //! aborts loudly, and `Recovery::Abft` corrects — locally for a single
 //! word, by bounded re-request otherwise — with a recovered gather that
-//! is **bitwise identical** to the sequential `multiply_scheme`.
+//! is **bitwise identical** to the sequential `multiply_scheme`. A
+//! scheduled crash's provenance, and the same recovery counters under
+//! every grant order, are cases of the crate's schedule-independence
+//! suite.
 
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::recursive::multiply_scheme;
@@ -11,7 +13,6 @@ use fastmm_matrix::scheme::strassen;
 use fastmm_parsim::exec::{
     try_dist_caps, try_dist_multiply, DistConfig, DistError, DEPTH_STRIDE, TAG_DOWN, TAG_UP,
 };
-use fastmm_parsim::machine::Runtime;
 use fastmm_parsim::{FaultPlan, InjectedKind, Recovery};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,29 +29,6 @@ fn sample(n: usize, seed: u64) -> (Matrix<f64>, Matrix<f64>) {
 /// l = 1 goes from the leader (rank 0) to sub-leader rank 1.
 fn first_down_rule_p7() -> (usize, usize, Option<u64>) {
     (0, 1, Some(TAG_DOWN + 1))
-}
-
-#[test]
-fn crash_at_send_reports_provenance_on_both_runtimes() {
-    let s = strassen();
-    let (a, b) = sample(16, 0xFA01);
-    let mut reports = Vec::new();
-    for rt in [Runtime::Event, Runtime::Lockstep] {
-        let cfg = DistConfig::new(7)
-            .with_cutoff(2)
-            .with_runtime(rt)
-            .with_fault_plan(FaultPlan::new().with_crash_at_send(3, 1));
-        let err = try_dist_multiply(&cfg, &s, &a, &b).expect_err("rank 3 must crash");
-        assert_eq!(err.rank, 3, "{rt:?}: {err}");
-        let inj = err.injected.expect("injected provenance must survive");
-        assert_eq!(inj.kind, InjectedKind::CrashAtSend);
-        assert_eq!(inj.rank, 3);
-        reports.push((err.rank, err.payload.clone(), inj));
-    }
-    assert_eq!(
-        reports[0], reports[1],
-        "failure report must be identical across runtimes"
-    );
 }
 
 #[test]
@@ -185,36 +163,6 @@ fn abft_rerequests_an_uncorrectable_up_frame() {
         "{}",
         err.payload
     );
-}
-
-#[test]
-fn abft_recovery_is_identical_across_runtimes() {
-    // The whole point of hook placement in the shared `Rank` facade: the
-    // same plan under Event and Lockstep produces bitwise-identical
-    // gathers and identical recovery counters.
-    let s = strassen();
-    let (a, b) = sample(16, 0xFA08);
-    let (src, dst, tag) = first_down_rule_p7();
-    let plan = FaultPlan::new()
-        .with_corrupt_frame(src, dst, tag, 1, 0, 11)
-        .with_corrupt_frame(src, dst, tag, 1, 1, 44)
-        .with_corrupt_frame(1, 0, Some(TAG_UP + 1), 1, 2, 33);
-    let run = |rt| {
-        let cfg = DistConfig::new(7)
-            .with_cutoff(2)
-            .with_runtime(rt)
-            .with_recovery(Recovery::Abft)
-            .with_fault_plan(plan.clone());
-        try_dist_multiply(&cfg, &s, &a, &b).expect("recovers")
-    };
-    let (c_ev, r_ev) = run(Runtime::Event);
-    let (c_ls, r_ls) = run(Runtime::Lockstep);
-    assert!(c_ev.bits_eq(&c_ls), "gathers diverge across runtimes");
-    for (e, l) in r_ev.stats.iter().zip(r_ls.stats.iter()) {
-        assert_eq!(e.frames_corrected, l.frames_corrected);
-        assert_eq!(e.frames_retried, l.frames_retried);
-        assert_eq!(e.clock.to_bits(), l.clock.to_bits(), "clocks must agree");
-    }
 }
 
 #[test]

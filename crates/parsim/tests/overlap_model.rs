@@ -14,7 +14,7 @@
 use fastmm_matrix::dense::Matrix;
 use fastmm_parsim::caps;
 use fastmm_parsim::caps::CapsPlan;
-use fastmm_parsim::machine::{MachineConfig, Runtime};
+use fastmm_parsim::machine::MachineConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,17 +37,22 @@ fn caps_critical_path(cfg: MachineConfig, n: usize) -> f64 {
 
 #[test]
 fn zero_overlap_reproduces_original_critical_path_bitwise() {
-    // overlap = 0 (the default) must be indistinguishable — bit for bit —
-    // from the pre-overlap model, represented by the retained lockstep
-    // runtime with the same config.
+    // overlap = 0 (the default) banks no credit: setting it explicitly
+    // changes no clock bit, and every rank's clock covers the full
+    // α + β·len of each message end plus γ·flops, which only waiting adds
+    // to.
     let n = 28;
     let (a, b) = operands(n, 0x00B5);
     let plan = CapsPlan::new(7, n, 0).unwrap();
     let base = MachineConfig::new(7).with_gamma(1e-6);
     let (_, r_new) = caps(base.clone().with_overlap(0.0), &plan, &a, &b);
-    let (_, r_ref) = caps(base.with_runtime(Runtime::Lockstep), &plan, &a, &b);
+    let (_, r_ref) = caps(base.clone(), &plan, &a, &b);
     for (e, l) in r_new.stats.iter().zip(&r_ref.stats) {
         assert_eq!(e.clock.to_bits(), l.clock.to_bits());
+        let full = base.alpha * (e.msgs_sent + e.msgs_received) as f64
+            + base.beta * (e.words_sent + e.words_received) as f64
+            + base.gamma * e.flops as f64;
+        assert!(e.clock >= full * (1.0 - 1e-12), "{} < {full}", e.clock);
     }
     assert_eq!(
         r_new.critical_path_time().to_bits(),
