@@ -19,16 +19,18 @@
 //! ## Bit-determinism
 //!
 //! The execution preserves the sequential engine's scalar arithmetic
-//! exactly: encodes accumulate quadrants in ascending `q` (skipping
-//! zeros, like [`fastmm_matrix::arena::encode_a_into`]), products decode
-//! in ascending `l`, and the rank-local leaves run the arena engine
-//! ([`fastmm_matrix::arena::multiply_flat`]) at [`CapsPlan::local_cutoff`]
-//! — chosen so the distributed recursion composed with the local one *is*
-//! the recursion tree of
+//! exactly. Encodes and decodes run the arena's own kernels
+//! ([`encode_a_into`], [`encode_b_into`], [`decode_product_into`]) over
+//! each share viewed as a `2 × 2·qlen` matrix whose grid block `q` is
+//! quarter `q` (see *Data layout*), so terms combine in ascending `q` and
+//! products decode in ascending `l`. The rank-local leaves run the arena
+//! engine ([`multiply_flat`]) at [`CapsPlan::local_cutoff`], the
+//! sequential default capped at `m_r`: a leaf recurses only where
 //! [`multiply_scheme`](fastmm_matrix::recursive::multiply_scheme) at that
-//! cutoff. The gathered product is therefore **bitwise identical** to the
-//! sequential `multiply_scheme` output (enforced by tests here and by
-//! `tests/dist_exact.rs`).
+//! cutoff would, and the distributed recursion composed with the local
+//! one *is* its recursion tree. The gathered product is therefore
+//! **bitwise identical** to the sequential `multiply_scheme` output
+//! (enforced by tests here and by `tests/dist_exact.rs`).
 //!
 //! ## Data layout
 //!
@@ -74,10 +76,13 @@
 
 use crate::frame::{self, Recovery};
 use crate::machine::{try_run_spmd, MachineConfig, Rank, RankFailed, SpmdResult};
-use fastmm_matrix::arena::{multiply_flat, ScratchArena};
-use fastmm_matrix::dense::Matrix;
+use fastmm_matrix::arena::{
+    decode_product_into, encode_a_into, encode_b_into, multiply_flat, ScratchArena,
+};
+use fastmm_matrix::dense::{MatMut, MatRef, Matrix};
 use fastmm_matrix::recursive::scheme_op_count;
-use fastmm_matrix::scheme::{strassen, BilinearScheme, Coeffs};
+use fastmm_matrix::scheme::{strassen, BilinearScheme};
+use fastmm_matrix::tune::default_cutoff;
 
 /// One recursion step of the CAPS schedule.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -174,25 +179,17 @@ impl CapsPlan {
         Self::with_rank(scheme.r, p, n, dfs_steps)
     }
 
-    /// A convenient valid dimension for **Strassen-shaped (`r = 7`)**
-    /// plans: `n = 2^{D+L} · 7^{⌈L/2⌉} · c`. For other ranks the `7`
-    /// factor does not satisfy [`CapsPlan::with_rank`]'s
-    /// `p | (n/2^{D+L})²` requirement — derive `n` from the target rank
-    /// instead (e.g. `2^{D+L} · r^{⌈L/2⌉} · c` when `r` is square-free).
-    pub fn suggest_n(p: usize, dfs_steps: usize, c: usize) -> usize {
-        let l = (p as f64).log(7.0).round() as usize;
-        (1usize << (dfs_steps + l)) * 7usize.pow(l.div_ceil(2) as u32) * c.max(1)
-    }
-
-    /// The rank-local base-case cutoff the execution uses: `min(mr, 32)`.
-    /// Any value `≤ 2·mr − 1` keeps the distributed recursion aligned
-    /// with [`multiply_scheme`](fastmm_matrix::recursive::multiply_scheme)
-    /// at the same cutoff (the global levels all split, the local engine
+    /// The rank-local base-case cutoff the execution uses: `min(mr,
+    /// `[`default_cutoff`]`())` (which reads `FASTMM_CUTOFF`), so a leaf
+    /// recurses only where the sequential engine would. Any value
+    /// `≤ 2·mr − 1` keeps the distributed recursion aligned with
+    /// [`multiply_scheme`](fastmm_matrix::recursive::multiply_scheme) at
+    /// the same cutoff (the global levels all split, the local engine
     /// continues identically below `mr`), so the gathered product is
     /// bitwise identical to `multiply_scheme(scheme, a, b,
     /// plan.local_cutoff())`.
     pub fn local_cutoff(&self) -> usize {
-        self.mr.clamp(1, 32)
+        self.mr.min(default_cutoff())
     }
 
     /// Closed-form words **sent** per rank by this plan (every rank sends
@@ -301,35 +298,54 @@ pub fn scatter_share(
     }
 }
 
-/// `out += Σ_q coeffs[row][q] · quarter_q(src)` into a zeroed `out` — the
-/// local block encoding.
-fn encode_quarters(rank: &mut Rank, coeffs: &Coeffs, row: usize, src: &[f64], out: &mut [f64]) {
-    let qlen = out.len();
-    debug_assert_eq!(src.len(), 4 * qlen);
-    let mut flops = 0u64;
-    for q in 0..4 {
-        let c = coeffs.get(row, q);
-        if c != 0 {
-            let s = &src[q * qlen..(q + 1) * qlen];
-            let cf = c as f64;
-            for (o, &v) in out.iter_mut().zip(s) {
-                *o += cf * v;
-            }
-            flops += qlen as u64;
-        }
-    }
-    rank.compute(flops);
+/// `buf` as a `rows`-row matrix: a share at 2 rows is the `2 × 2·qlen`
+/// matrix whose 2 × 2 grid block `q` is its quarter `q`, a quarter at 1
+/// row is one such block — the operand shapes of the arena's encode and
+/// decode kernels.
+fn view(buf: &[f64], rows: usize) -> MatRef<'_, f64> {
+    MatRef::from_slice(buf, rows, buf.len() / rows)
+}
+
+/// [`view`], mutably.
+fn view_mut(buf: &mut [f64], rows: usize) -> MatMut<'_, f64> {
+    let cols = buf.len() / rows;
+    MatMut::from_slice(buf, rows, cols)
+}
+
+/// Encode product `l`'s operands `T_l = Σ_q U[l][q]·A_q` into `ta` and
+/// `S_l = Σ_q V[l][q]·B_q` into `tb` from the shares `a` and `b`, charging
+/// one flop per word per term of each.
+fn encode_pair(
+    ctx: &CapsCtx<'_>,
+    rank: &mut Rank,
+    l: usize,
+    a: &[f64],
+    b: &[f64],
+    ta: &mut [f64],
+    tb: &mut [f64],
+) {
+    encode_a_into(ctx.scheme, view(a, 2), l, &mut view_mut(ta, 1));
+    rank.compute((ctx.scheme.u.row_nnz(l) * ta.len()) as u64);
+    encode_b_into(ctx.scheme, view(b, 2), l, &mut view_mut(tb, 1));
+    rank.compute((ctx.scheme.v.row_nnz(l) * tb.len()) as u64);
+}
+
+/// Decode product `l`'s share `ml` into the quarters of `c`
+/// (`C_q ⊕= W[q][l]·M_l`); returns its flops. Decoding every `l` in
+/// ascending order writes all of `c`.
+fn decode(ctx: &CapsCtx<'_>, ml: &[f64], l: usize, c: &mut [f64]) -> u64 {
+    decode_product_into(ctx.scheme, view(ml, 1), l, &mut view_mut(c, 2));
+    (ctx.scheme.w.col_entries(l).count() * ml.len()) as u64
 }
 
 struct CapsCtx<'a> {
     scheme: &'a BilinearScheme,
-    r: usize,
+    steps: &'a [Step],
     mr: usize,
     local_cutoff: usize,
     recovery: Recovery,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn caps_node(
     ctx: &CapsCtx<'_>,
     rank: &mut Rank,
@@ -337,19 +353,17 @@ fn caps_node(
     me: usize,
     a: Vec<f64>,
     b: Vec<f64>,
-    m: usize,
-    steps: &[Step],
     depth: usize,
 ) -> Vec<f64> {
-    let r = ctx.r;
-    if depth == steps.len() {
+    let r = ctx.scheme.r;
+    let len = a.len();
+    if depth == ctx.steps.len() {
         assert_eq!(group.len(), 1, "plan must end with singleton groups");
-        assert_eq!(m, ctx.mr);
+        let m = ctx.mr;
         // full local matrix, row-major (single path, residual = identity):
         // the rank-local leaf runs the arena engine, so the leaf bits are
         // exactly the sequential engine's. Its arena lives for this leaf
         // only: it is dropped before the rank can next block.
-        let len = a.len();
         rank.track_alloc(len); // the local product C
         let mut arena = ScratchArena::new();
         let c = multiply_flat(ctx.scheme, &a, &b, (m, m, m), ctx.local_cutoff, &mut arena);
@@ -359,34 +373,22 @@ fn caps_node(
         rank.track_free(2 * len); // operands consumed
         return c;
     }
-    let qlen = a.len() / 4;
-    match steps[depth] {
+    let qlen = len / 4;
+    match ctx.steps[depth] {
         Step::Dfs => {
-            let mut c = vec![0.0f64; a.len()];
-            rank.track_alloc(a.len());
+            let mut c = vec![0.0f64; len];
+            rank.track_alloc(len);
             for l in 0..r {
                 // operands of the child (the child frees them)
                 let mut ta = vec![0.0f64; qlen];
                 let mut tb = vec![0.0f64; qlen];
-                encode_quarters(rank, &ctx.scheme.u, l, &a, &mut ta);
-                encode_quarters(rank, &ctx.scheme.v, l, &b, &mut tb);
+                encode_pair(ctx, rank, l, &a, &b, &mut ta, &mut tb);
                 rank.track_alloc(2 * qlen);
-                let ml = caps_node(ctx, rank, group, me, ta, tb, m / 2, steps, depth + 1);
-                let mut flops = 0u64;
-                for q in 0..4 {
-                    let w = ctx.scheme.w.get(q, l);
-                    if w != 0 {
-                        let wf = w as f64;
-                        for (o, &v) in c[q * qlen..(q + 1) * qlen].iter_mut().zip(&ml) {
-                            *o += wf * v;
-                        }
-                        flops += qlen as u64;
-                    }
-                }
-                rank.compute(flops);
+                let ml = caps_node(ctx, rank, group, me, ta, tb, depth + 1);
+                rank.compute(decode(ctx, &ml, l, &mut c));
                 rank.track_free(qlen); // the child's product, consumed
             }
-            rank.track_free(2 * a.len()); // a, b consumed
+            rank.track_free(2 * len); // a, b consumed
             c
         }
         Step::Bfs => {
@@ -402,8 +404,7 @@ fn caps_node(
             for l in 0..r {
                 let mut piece = vec![0.0f64; 2 * qlen];
                 let (ta, tb) = piece.split_at_mut(qlen);
-                encode_quarters(rank, &ctx.scheme.u, l, &a, ta);
-                encode_quarters(rank, &ctx.scheme.v, l, &b, tb);
+                encode_pair(ctx, rank, l, &a, &b, ta, tb);
                 let tgt = l * gp + myclass;
                 if tgt == me {
                     self_piece = Some(piece);
@@ -411,7 +412,7 @@ fn caps_node(
                     frame::send(rank, ctx.recovery, group[tgt], tag_down, piece);
                 }
             }
-            rank.track_free(2 * a.len()); // a, b fully encoded and sent
+            rank.track_free(2 * len); // a, b fully encoded and sent
             drop((a, b));
 
             // gather the r pieces of my subproblem
@@ -437,17 +438,7 @@ fn caps_node(
             }
             // recurse on my subgroup
             let sub = &group[my_l * gp..(my_l + 1) * gp];
-            let c_sub = caps_node(
-                ctx,
-                rank,
-                sub,
-                myclass,
-                new_a,
-                new_b,
-                m / 2,
-                steps,
-                depth + 1,
-            );
+            let c_sub = caps_node(ctx, rank, sub, myclass, new_a, new_b, depth + 1);
             // inverse shuffle: return M_{my_l} pieces to the depth-i ranks
             let mut self_return: Option<Vec<f64>> = None;
             for s in 0..r {
@@ -479,16 +470,7 @@ fn caps_node(
                 } else {
                     frame::recv(rank, ctx.recovery, group[src], tag_up, None, qlen)
                 };
-                for q in 0..4 {
-                    let w = ctx.scheme.w.get(q, l);
-                    if w != 0 {
-                        let wf = w as f64;
-                        for (o, &v) in c[q * qlen..(q + 1) * qlen].iter_mut().zip(&ml) {
-                            *o += wf * v;
-                        }
-                        flops += qlen as u64;
-                    }
-                }
+                flops += decode(ctx, &ml, l, &mut c);
             }
             rank.compute(flops);
             c
@@ -544,28 +526,18 @@ pub fn try_caps_scheme(
     let levels = plan.steps.len();
     // One run-wide rank list: every (sub)group is a slice of it.
     let group: Vec<usize> = (0..plan.p).collect();
+    let ctx = CapsCtx {
+        scheme,
+        steps: &plan.steps,
+        mr: plan.mr,
+        local_cutoff: plan.local_cutoff(),
+        recovery,
+    };
     let res = try_run_spmd(cfg, |rank| {
-        let ctx = CapsCtx {
-            scheme,
-            r: plan.r,
-            mr: plan.mr,
-            local_cutoff: plan.local_cutoff(),
-            recovery,
-        };
         let a_share = extract_share(a, levels, plan.mr, plan.p, rank.id);
         let b_share = extract_share(b, levels, plan.mr, plan.p, rank.id);
         rank.track_alloc(2 * a_share.len());
-        caps_node(
-            &ctx,
-            rank,
-            &group,
-            rank.id,
-            a_share,
-            b_share,
-            n,
-            &plan.steps,
-            0,
-        )
+        caps_node(&ctx, rank, &group, rank.id, a_share, b_share, 0)
     })?;
     let mut c = Matrix::zeros(n, n);
     for (r, share) in res.outputs.iter().enumerate() {
@@ -596,8 +568,21 @@ mod tests {
         assert!(CapsPlan::new(7, 16, 0).is_err()); // 7 ∤ 64
         assert!(CapsPlan::new(6, 12, 0).is_err()); // p not power of 7
         assert!(CapsPlan::new(49, 28, 0).is_ok()); // mr = 7, 49 | 49
-        let n = CapsPlan::suggest_n(49, 1, 1);
-        assert!(CapsPlan::new(49, n, 1).is_ok(), "suggest_n gave {n}");
+        assert!(CapsPlan::new(49, 56, 1).is_ok()); // 1 DFS + 2 BFS, mr = 7
+    }
+
+    #[test]
+    fn leaf_cutoff_is_the_sequential_default_capped_at_mr() {
+        // A rank leaf recurses only where `multiply_scheme` at the default
+        // cutoff (512 unless FASTMM_CUTOFF overrides it) would: the
+        // 49-wide leaves of p = 2401 and p = 49 are one packed kernel
+        // call each, a 700-wide leaf splits.
+        let d = default_cutoff();
+        for (p, n, mr) in [(2401, 784, 49), (49, 196, 49), (7, 1400, 700)] {
+            let plan = CapsPlan::new(p, n, 0).unwrap();
+            assert_eq!(plan.mr, mr, "p={p} n={n}");
+            assert_eq!(plan.local_cutoff(), mr.min(d), "p={p} n={n}");
+        }
     }
 
     #[test]

@@ -155,6 +155,9 @@ struct State {
     heap: BinaryHeap<Reverse<ReadyAt>>,
     /// A blocked rank's clock when it parked — the floor of its ready time.
     clock_hint: Vec<f64>,
+    /// Per rank, how many ranks are parked receiving from it, so a rank's
+    /// exit scans for them only when there are some.
+    parked_on: Vec<usize>,
     /// Set by the deadlock detector; the rank unwinds on next inspection.
     poisoned: Vec<bool>,
     /// Ranks not yet `Done`.
@@ -219,6 +222,7 @@ impl EventEndpoint {
             .or_default()
             .push_back(msg);
         if let Some(time) = wake {
+            st.parked_on[self.id] -= 1;
             st.status[to] = Status::Ready;
             st.heap.push(Reverse(ReadyAt { time, rank: to }));
         }
@@ -253,6 +257,7 @@ impl EventEndpoint {
                     std::panic::panic_any(DeadlockPoison { from, tag });
                 }
                 st.status[self.id] = Status::Blocked { from, tag };
+                st.parked_on[from] += 1;
                 st.clock_hint[self.id] = clock;
             }
             self.core.sched_gate.signal();
@@ -288,6 +293,9 @@ fn scheduler(core: &EventCore) {
                         .iter()
                         .position(|s| matches!(s, Status::Blocked { .. }))
                         .expect("live ranks but none ready or blocked");
+                    if let Status::Blocked { from, .. } = st.status[victim] {
+                        st.parked_on[from] -= 1;
+                    }
                     st.poisoned[victim] = true;
                     st.status[victim] = Status::Running;
                     grant = victim;
@@ -314,6 +322,7 @@ where
                 .map(|rank| Reverse(ReadyAt { time: 0.0, rank }))
                 .collect(),
             clock_hint: vec![0.0; p],
+            parked_on: vec![0; p],
             poisoned: vec![false; p],
             live: p,
             #[cfg(test)]
@@ -354,9 +363,10 @@ where
                         let mut st = lock_ignore_poison(&core.state);
                         st.status[id] = Status::Done;
                         st.live -= 1;
-                        for r in 0..p {
-                            if let Status::Blocked { from, .. } = st.status[r] {
-                                if from == id {
+                        if std::mem::take(&mut st.parked_on[id]) > 0 {
+                            for r in 0..p {
+                                if matches!(st.status[r], Status::Blocked { from, .. } if from == id)
+                                {
                                     let time = st.clock_hint[r];
                                     st.status[r] = Status::Ready;
                                     st.heap.push(Reverse(ReadyAt { time, rank: r }));

@@ -96,8 +96,9 @@ impl std::error::Error for DistError {}
 pub struct DistConfig {
     /// Number of simulated ranks.
     pub p: usize,
-    /// Rank-local base-case cutoff (`0` = auto via
+    /// The generic engine's rank-local base-case cutoff (`0` = auto via
     /// `fastmm_matrix::tune::resolve_cutoff`, so `FASTMM_CUTOFF` applies).
+    /// CAPS leaves follow their plan ([`CapsPlan::local_cutoff`]) instead.
     pub cutoff: usize,
     /// Per-rank memory budget in words (`0` = unlimited). Used by
     /// [`caps_plan_for_budget`] to pick the cheapest DFS/BFS interleaving
