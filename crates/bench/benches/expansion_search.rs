@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fastmm_cdag::layered::{build_dec, SchemeShape};
-use fastmm_expansion::search::{find_best_cut, SearchOptions};
+use fastmm_expansion::search::find_best_cut;
 use fastmm_expansion::spectral::spectral_bounds;
 use fastmm_matrix::scheme::strassen;
 
@@ -20,12 +20,7 @@ fn bench_expansion(c: &mut Criterion) {
         });
         let n = dec.graph.n_vertices();
         group.bench_with_input(BenchmarkId::new("best_cut", k), &k, |b, _| {
-            b.iter(|| {
-                let mut o = SearchOptions::with_max_size(n / 2);
-                o.restarts = 2;
-                o.spectral_iters = 100;
-                find_best_cut(csr, d, o)
-            })
+            b.iter(|| find_best_cut(csr, d, n / 2))
         });
     }
     group.finish();

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fastmm_matrix::arena::ScratchArena;
-use fastmm_matrix::classical::{multiply_blocked, multiply_naive, multiply_oblivious};
+use fastmm_matrix::classical::multiply_naive;
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::pack::{multiply_packed_into, multiply_packed_into_scalar};
 use fastmm_matrix::recursive::multiply_scheme;
@@ -20,12 +20,6 @@ fn bench_kernels(c: &mut Criterion) {
         let b = Matrix::<f64>::random(n, n, &mut rng);
         group.bench_with_input(BenchmarkId::new("naive", n), &n, |bch, _| {
             bch.iter(|| multiply_naive(&a, &b))
-        });
-        group.bench_with_input(BenchmarkId::new("blocked32", n), &n, |bch, _| {
-            bch.iter(|| multiply_blocked(&a, &b, 32))
-        });
-        group.bench_with_input(BenchmarkId::new("oblivious", n), &n, |bch, _| {
-            bch.iter(|| multiply_oblivious(&a, &b, 32))
         });
         group.bench_with_input(BenchmarkId::new("strassen_c32", n), &n, |bch, _| {
             bch.iter(|| multiply_scheme(&strassen(), &a, &b, 32))

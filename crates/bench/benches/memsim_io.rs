@@ -4,7 +4,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::scheme::strassen;
 use fastmm_memsim::explicit::{multiply_blocked_explicit, multiply_dfs_explicit};
-use fastmm_memsim::traced::{trace_blocked, trace_naive_ijk};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -21,14 +20,6 @@ fn bench_memsim(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("blocked_explicit", n), &n, |bch, _| {
             bch.iter(|| multiply_blocked_explicit(&a, &b, 768))
-        });
-    }
-    for &n in &[32usize, 48] {
-        group.bench_with_input(BenchmarkId::new("lru_blocked", n), &n, |bch, &n| {
-            bch.iter(|| trace_blocked(n, 768, 16))
-        });
-        group.bench_with_input(BenchmarkId::new("lru_naive", n), &n, |bch, &n| {
-            bch.iter(|| trace_naive_ijk(n, 768))
         });
     }
     group.finish();

@@ -5,7 +5,7 @@ use fastmm_cdag::trace::trace_multiply;
 use fastmm_core::prelude::*;
 use fastmm_expansion::certificate::{lemma43_certificate, lemma43_min_expansion};
 use fastmm_expansion::exact::exact_h;
-use fastmm_expansion::search::{find_best_cut, SearchOptions};
+use fastmm_expansion::search::find_best_cut;
 use fastmm_expansion::spectral::spectral_bounds;
 use fastmm_matrix::dense::Matrix;
 use fastmm_memsim::explicit::{
@@ -137,10 +137,7 @@ pub fn e3_lemma43_expansion(k_max: usize) -> String {
             let e = exact_h(csr, d);
             e.expansion
         } else {
-            let mut opts = SearchOptions::with_max_size(n / 2);
-            opts.spectral_iters = if n > 100_000 { 120 } else { 300 };
-            opts.restarts = if n > 100_000 { 2 } else { 6 };
-            find_best_cut(csr, d, opts).expansion
+            find_best_cut(csr, d, n / 2).expansion
         };
         let (spec, _) = spectral_bounds(csr, d, if n > 100_000 { 150 } else { 600 });
         let guar = lemma43_min_expansion(&dec, d);
@@ -186,7 +183,7 @@ pub fn e4_cor44_small_set() -> String {
         let h = if n <= 24 {
             exact_h(csr, d).expansion
         } else {
-            find_best_cut(csr, d, SearchOptions::with_max_size(n / 2)).expansion
+            find_best_cut(csr, d, n / 2).expansion
         };
         let s = n as f64 / 2.0;
         out.push_str(&format!(
@@ -476,7 +473,7 @@ pub fn e9_rectangular() -> String {
         let d = dec.graph.max_degree();
         let csr = dec.graph.undirected_csr();
         let n = dec.graph.n_vertices();
-        let h = find_best_cut(csr, d, SearchOptions::with_max_size(n / 2)).expansion;
+        let h = find_best_cut(csr, d, n / 2).expansion;
         out.push_str(&format!(
             "  {:<21} Dec_2: |V|={:<5} levels={:?} components={} h_cut<={:.4}\n",
             s.name,
@@ -1175,7 +1172,7 @@ pub fn e3_certificate_drilldown(k: usize) -> String {
     let d = dec.graph.max_degree();
     let csr = dec.graph.undirected_csr();
     let n = dec.graph.n_vertices();
-    let cut = find_best_cut(csr, d, SearchOptions::with_max_size(n / 2));
+    let cut = find_best_cut(csr, d, n / 2);
     let cert = lemma43_certificate(&dec, &cut.set);
     let mut out = String::new();
     out.push_str(&format!(

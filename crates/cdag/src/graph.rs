@@ -462,25 +462,6 @@ impl Csr {
         Csr { offsets, neighbors }
     }
 
-    /// Build directed successor adjacency.
-    pub fn from_directed(n: usize, edges: &[(u32, u32)]) -> Csr {
-        let mut deg = vec![0usize; n];
-        for &(u, _) in edges {
-            deg[u as usize] += 1;
-        }
-        let mut offsets = vec![0usize; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + deg[i];
-        }
-        let mut neighbors = vec![0u32; offsets[n]];
-        let mut cursor = offsets.clone();
-        for &(u, v) in edges {
-            neighbors[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-        }
-        Csr { offsets, neighbors }
-    }
-
     /// Neighbor list of `v`.
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {

@@ -57,7 +57,7 @@ pub mod prelude {
         STRASSEN, STRASSEN_SQUARED,
     };
     pub use fastmm_matrix::arena::{multiply_into, ScratchArena};
-    pub use fastmm_matrix::classical::{multiply_blocked, multiply_naive};
+    pub use fastmm_matrix::classical::multiply_naive;
     pub use fastmm_matrix::parallel::{
         multiply_scheme_parallel, plan_bfs_dfs, BfsDfsPlan, ParallelConfig,
     };

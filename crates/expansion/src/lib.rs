@@ -31,5 +31,5 @@ pub use rank_bound::{
     rank_expansion, rank_io_bound, scheme_rank_expansion, NestedSigma, RankExpansion, RankIoBound,
     SchemeRankExpansion,
 };
-pub use search::{evaluate_cut, find_best_cut, Cut, SearchOptions};
+pub use search::{evaluate_cut, find_best_cut, Cut};
 pub use spectral::{spectral_bounds, SpectralBounds};

@@ -190,46 +190,26 @@ pub fn refine(csr: &Csr, d: u32, cut: Cut, max_size: usize, passes: usize) -> Cu
     out
 }
 
-/// Search configuration for [`find_best_cut`].
-#[derive(Clone, Copy, Debug)]
-pub struct SearchOptions {
-    /// Largest allowed `|U|` (use `n/2` for plain `h(G)`, smaller for `h_s`).
-    pub max_size: usize,
-    /// Number of random greedy-grow restarts (beyond deterministic seeds).
-    pub restarts: usize,
-    /// Refinement passes per candidate.
-    pub refine_passes: usize,
-    /// Power-iteration count for the spectral sweep ordering.
-    pub spectral_iters: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl SearchOptions {
-    /// Reasonable defaults for graphs up to a few hundred thousand vertices.
-    pub fn with_max_size(max_size: usize) -> Self {
-        SearchOptions {
-            max_size,
-            restarts: 6,
-            refine_passes: 3,
-            spectral_iters: 300,
-            seed: 42,
-        }
-    }
-}
+/// Refinement passes per candidate.
+const REFINE_PASSES: usize = 3;
+/// Seed of the random greedy-grow starts.
+const SEED: u64 = 42;
 
 /// Run the full portfolio (spectral sweep + greedy grows + refinement) and
-/// return the sparsest cut found. The result is an *upper bound certificate*
-/// for `h_{max_size}(G)`.
-pub fn find_best_cut(csr: &Csr, d: u32, opts: SearchOptions) -> Cut {
+/// return the sparsest cut found with `|U| ≤ max_size` (use `n/2` for plain
+/// `h(G)`, smaller for `h_s`). The result is an *upper bound certificate*
+/// for `h_{max_size}(G)`. Above 100,000 vertices the spectral ordering runs
+/// 120 power iterations and 2 random greedy restarts, otherwise 300 and 6.
+pub fn find_best_cut(csr: &Csr, d: u32, max_size: usize) -> Cut {
     let n = csr.n_vertices();
     assert!(n >= 2);
-    let max_size = opts.max_size.clamp(1, n - 1);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let max_size = max_size.clamp(1, n - 1);
+    let (spectral_iters, restarts) = if n > 100_000 { (120, 2) } else { (300, 6) };
+    let mut rng = StdRng::seed_from_u64(SEED);
     let mut candidates: Vec<Cut> = Vec::new();
 
     // spectral sweep, both directions
-    let (_, fiedler) = crate::spectral::spectral_bounds(csr, d, opts.spectral_iters);
+    let (_, fiedler) = crate::spectral::spectral_bounds(csr, d, spectral_iters);
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.sort_by(|&a, &b| {
         fiedler[a as usize]
@@ -246,14 +226,14 @@ pub fn find_best_cut(csr: &Csr, d: u32, opts: SearchOptions) -> Cut {
     for &s in degree_order.iter().take(3) {
         candidates.push(greedy_grow(csr, d, s, max_size));
     }
-    for _ in 0..opts.restarts {
+    for _ in 0..restarts {
         let s = rng.gen_range(0..n as u32);
         candidates.push(greedy_grow(csr, d, s, max_size));
     }
 
     let mut best: Option<Cut> = None;
     for c in candidates {
-        let refined = refine(csr, d, c, max_size, opts.refine_passes);
+        let refined = refine(csr, d, c, max_size, REFINE_PASSES);
         if best
             .as_ref()
             .is_none_or(|b| refined.expansion < b.expansion)
@@ -316,7 +296,7 @@ mod tests {
         let csr = Csr::from_undirected(8, &edges);
         let d = 4; // vertices 3 and 4 have degree 4
         let exact = exact_h(&csr, d);
-        let found = find_best_cut(&csr, d, SearchOptions::with_max_size(4));
+        let found = find_best_cut(&csr, d, 4);
         assert!(
             (found.expansion - exact.expansion).abs() < 1e-12,
             "found {} vs exact {}",
@@ -337,7 +317,7 @@ mod tests {
     #[test]
     fn max_size_respected() {
         let csr = cycle(20);
-        let c = find_best_cut(&csr, 2, SearchOptions::with_max_size(3));
+        let c = find_best_cut(&csr, 2, 3);
         assert!(c.set.count() <= 3);
     }
 }

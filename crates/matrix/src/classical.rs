@@ -1,11 +1,14 @@
 //! Classical Θ(n³) matrix multiplication kernels.
 //!
-//! These are both the correctness reference for the fast algorithms and the
-//! baselines the paper compares against: any algorithm that performs the
-//! `n³` scalar multiplications — "whether this is done recursively,
-//! iteratively, block-wise or any other way" (footnote 3) — has
-//! I/O-complexity `Θ(n³/√M)` by Hong–Kung / Irony–Toledo–Tiskin, reproduced
-//! here by the `ω₀ = 3` specialization of Theorem 1.3.
+//! Any algorithm that performs the `n³` scalar multiplications — "whether
+//! this is done recursively, iteratively, block-wise or any other way"
+//! (footnote 3) — has I/O-complexity `Θ(n³/√M)` by Hong–Kung /
+//! Irony–Toledo–Tiskin, reproduced here by the `ω₀ = 3` specialization of
+//! Theorem 1.3. So one loop per role suffices: [`multiply_naive`] is the
+//! correctness oracle, and [`multiply_kernel_into`] is the view-level loop
+//! the packed kernel runs on small shapes. The footnote-3 I/O baseline is
+//! `multiply_blocked_explicit` in `fastmm-memsim`, which counts the words
+//! a tiled run moves on the two-level machine.
 
 use crate::dense::{MatMut, MatRef, Matrix};
 use crate::scalar::Scalar;
@@ -29,36 +32,6 @@ pub fn multiply_naive<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     c
 }
 
-/// Blocked (tiled) classical multiplication with square tiles of side `tile`.
-///
-/// With `tile = Θ(√M)` this is the communication-optimal classical algorithm
-/// in the two-level model: it moves `Θ(n³/√M)` words, attaining the
-/// Hong–Kung lower bound.
-pub fn multiply_blocked<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, tile: usize) -> Matrix<T> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    assert!(tile > 0, "tile must be positive");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c: Matrix<T> = Matrix::zeros(m, n);
-    for i0 in (0..m).step_by(tile) {
-        let imax = (i0 + tile).min(m);
-        for l0 in (0..k).step_by(tile) {
-            let lmax = (l0 + tile).min(k);
-            for j0 in (0..n).step_by(tile) {
-                let jmax = (j0 + tile).min(n);
-                for i in i0..imax {
-                    for l in l0..lmax {
-                        let aval = a[(i, l)];
-                        for j in j0..jmax {
-                            c[(i, j)] = c[(i, j)].add(aval.mul(b[(l, j)]));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    c
-}
-
 /// Output-tile width of [`multiply_kernel_into`]: 64 elements keeps one
 /// `C`-row tile plus one `B`-row tile inside an L1 line budget for `f64`
 /// while leaving the inner dimension unblocked (see bit-compat note below).
@@ -68,7 +41,7 @@ const KERNEL_TILE: usize = 64;
 /// the output columns with the inner dimension streamed in ascending
 /// order — the one view-level classical loop. The packed micro-kernel
 /// ([`crate::pack::multiply_packed_into`]) runs it on shapes too small to
-/// be worth packing, and [`multiply_recursive_oblivious`] at its leaves.
+/// be worth packing.
 ///
 /// **Bit-compatibility:** per output element the floating-point operations
 /// are exactly those of [`multiply_naive`], in the same order (`k`
@@ -98,57 +71,11 @@ pub fn multiply_kernel_into<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>, c: &m
     }
 }
 
-/// Cache-oblivious recursive classical multiplication (Frigo et al. 1999):
-/// split the largest dimension in half until the problem is tiny, then run
-/// [`multiply_kernel_into`]. `C += A * B`.
-pub fn multiply_recursive_oblivious<T: Scalar>(
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    leaf: usize,
-) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(k, b.rows());
-    if m <= leaf && k <= leaf && n <= leaf {
-        multiply_kernel_into(a, b, c);
-        return;
-    }
-    if m >= k && m >= n {
-        let h = m / 2;
-        multiply_recursive_oblivious(a.block(0, 0, h, k), b, &mut c.block_mut(0, 0, h, n), leaf);
-        multiply_recursive_oblivious(
-            a.block(h, 0, m - h, k),
-            b,
-            &mut c.block_mut(h, 0, m - h, n),
-            leaf,
-        );
-    } else if k >= n {
-        let h = k / 2;
-        multiply_recursive_oblivious(a.block(0, 0, m, h), b.block(0, 0, h, n), c, leaf);
-        multiply_recursive_oblivious(a.block(0, h, m, k - h), b.block(h, 0, k - h, n), c, leaf);
-    } else {
-        let h = n / 2;
-        multiply_recursive_oblivious(a, b.block(0, 0, k, h), &mut c.block_mut(0, 0, m, h), leaf);
-        multiply_recursive_oblivious(
-            a,
-            b.block(0, h, k, n - h),
-            &mut c.block_mut(0, h, m, n - h),
-            leaf,
-        );
-    }
-}
-
-/// Convenience wrapper around [`multiply_recursive_oblivious`] allocating the
-/// output.
-pub fn multiply_oblivious<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, leaf: usize) -> Matrix<T> {
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    multiply_recursive_oblivious(a.view(), b.view(), &mut c.view_mut(), leaf.max(1));
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::ScratchArena;
+    use crate::pack::multiply_packed_into;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -176,36 +103,45 @@ mod tests {
         assert_eq!(c.as_slice(), &[58, 64, 139, 154]);
     }
 
+    /// `A·B` from a zeroed `C` through each view-level loop: this module's
+    /// kernel and the packed kernel.
+    fn view_products(a: &Matrix<i64>, b: &Matrix<i64>) -> [Matrix<i64>; 2] {
+        let mut kernel = Matrix::zeros(a.rows(), b.cols());
+        multiply_kernel_into(a.view(), b.view(), &mut kernel.view_mut());
+        let mut packed = Matrix::zeros(a.rows(), b.cols());
+        let mut arena = ScratchArena::new();
+        multiply_packed_into(a.view(), b.view(), &mut packed.view_mut(), &mut arena);
+        [kernel, packed]
+    }
+
     #[test]
     fn all_kernels_agree_square() {
         for n in [1usize, 2, 3, 5, 8, 16, 17] {
             let (a, b) = sample(n, n as u64);
             let reference = multiply_naive(&a, &b);
-            assert_eq!(multiply_blocked(&a, &b, 4), reference, "blocked n={n}");
-            assert_eq!(multiply_oblivious(&a, &b, 4), reference, "oblivious n={n}");
+            let [kernel, packed] = view_products(&a, &b);
+            assert_eq!(kernel, reference, "kernel n={n}");
+            assert_eq!(packed, reference, "packed n={n}");
         }
     }
 
     #[test]
     fn kernels_agree_rectangular() {
         let mut rng = StdRng::seed_from_u64(99);
-        let a = Matrix::random_int(5, 7, 20, &mut rng);
-        let b = Matrix::random_int(7, 3, 20, &mut rng);
-        let reference = multiply_naive(&a, &b);
-        assert_eq!(multiply_blocked(&a, &b, 2), reference);
-        assert_eq!(multiply_oblivious(&a, &b, 2), reference);
-    }
-
-    #[test]
-    fn blocked_tile_bigger_than_matrix() {
-        let (a, b) = sample(6, 1);
-        assert_eq!(multiply_blocked(&a, &b, 64), multiply_naive(&a, &b));
+        for (m, k, n) in [(5usize, 7usize, 3usize), (9, 20, 13)] {
+            let a = Matrix::random_int(m, k, 20, &mut rng);
+            let b = Matrix::random_int(k, n, 20, &mut rng);
+            let reference = multiply_naive(&a, &b);
+            for product in view_products(&a, &b) {
+                assert_eq!(product, reference, "{m}x{k}x{n}");
+            }
+        }
     }
 
     #[test]
     fn kernel_matches_ikj_bitwise_f64() {
         // The contract the packed kernel's small-shape path builds on: the
-        // blocked kernel is bit-identical to multiply_naive, including shapes
+        // view kernel is bit-identical to multiply_naive, including shapes
         // that straddle the tile boundary.
         let mut rng = StdRng::seed_from_u64(123);
         for (m, k, n) in [

@@ -156,12 +156,6 @@ impl<T: Scalar> Matrix<T> {
         &self.data
     }
 
-    /// Mutably borrow the raw row-major storage.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// A read-only view of the whole matrix.
     #[inline]
     pub fn view(&self) -> MatRef<'_, T> {

@@ -2,7 +2,7 @@
 //!
 //! The recursive fast matrix multiplication engines are generic over a small
 //! [`Scalar`] trait rather than the `std::ops` hierarchy so that exact
-//! arithmetic types (machine integers, the prime field [`Fp`]) and inexact
+//! arithmetic types (`i64`, the prime field [`Fp`]) and inexact
 //! floats share one interface. Exact scalars let tests assert bit-for-bit
 //! equality between classical and Strassen-like products, which is how the
 //! whole stack is validated.
@@ -121,44 +121,38 @@ macro_rules! impl_scalar_float {
 impl_scalar_float!(f32, 8, 16);
 impl_scalar_float!(f64, 8, 8);
 
-macro_rules! impl_scalar_int {
-    ($t:ty) => {
-        impl Scalar for $t {
-            #[inline]
-            fn zero() -> Self {
-                0
-            }
-            #[inline]
-            fn one() -> Self {
-                1
-            }
-            #[inline]
-            fn add(self, other: Self) -> Self {
-                self.wrapping_add(other)
-            }
-            #[inline]
-            fn sub(self, other: Self) -> Self {
-                self.wrapping_sub(other)
-            }
-            #[inline]
-            fn mul(self, other: Self) -> Self {
-                self.wrapping_mul(other)
-            }
-            #[inline]
-            fn neg(self) -> Self {
-                self.wrapping_neg()
-            }
-            #[inline]
-            fn from_i64(v: i64) -> Self {
-                v as $t
-            }
-        }
-    };
+/// Wrapping two's-complement arithmetic: the ring `Z / 2^64`, in which
+/// every bilinear identity holds exactly.
+impl Scalar for i64 {
+    #[inline]
+    fn zero() -> Self {
+        0
+    }
+    #[inline]
+    fn one() -> Self {
+        1
+    }
+    #[inline]
+    fn add(self, other: Self) -> Self {
+        self.wrapping_add(other)
+    }
+    #[inline]
+    fn sub(self, other: Self) -> Self {
+        self.wrapping_sub(other)
+    }
+    #[inline]
+    fn mul(self, other: Self) -> Self {
+        self.wrapping_mul(other)
+    }
+    #[inline]
+    fn neg(self) -> Self {
+        self.wrapping_neg()
+    }
+    #[inline]
+    fn from_i64(v: i64) -> Self {
+        v
+    }
 }
-
-impl_scalar_int!(i32);
-impl_scalar_int!(i64);
-impl_scalar_int!(i128);
 
 /// Modulus of [`Fp`]: the Mersenne prime `2^61 - 1`.
 pub const FP_MODULUS: u64 = (1u64 << 61) - 1;

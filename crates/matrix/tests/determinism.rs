@@ -333,6 +333,7 @@ fn signed_zeros_are_bit_deterministic_across_engines() {
 /// entries sit next to the zero-extension at every level. The NaN is the
 /// one the hardware makes (`Inf - Inf`), so every NaN in flight has the
 /// same bits and the witness reads padding, not NaN-payload choice.
+#[cfg(not(feature = "fma"))]
 fn non_finite_edges(mut m: Matrix<f64>) -> Matrix<f64> {
     let nan = std::hint::black_box(f64::INFINITY) - f64::INFINITY;
     let specials = [f64::INFINITY, f64::NEG_INFINITY, nan, -0.0, 0.0];

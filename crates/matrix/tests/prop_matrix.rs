@@ -2,7 +2,7 @@
 //! the fast multiplication schemes, over exact scalars so equality is
 //! bit-for-bit.
 
-use fastmm_matrix::classical::{multiply_blocked, multiply_naive, multiply_oblivious};
+use fastmm_matrix::classical::multiply_naive;
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::recursive::multiply_scheme;
 use fastmm_matrix::scalar::{Fp, Scalar};
@@ -24,8 +24,6 @@ proptest! {
     #[test]
     fn all_multiplication_algorithms_agree(a in arb_matrix(8), b in arb_matrix(8)) {
         let reference = multiply_naive(&a, &b);
-        prop_assert_eq!(&multiply_blocked(&a, &b, 3), &reference);
-        prop_assert_eq!(&multiply_oblivious(&a, &b, 2), &reference);
         prop_assert_eq!(&multiply_scheme(&strassen(), &a, &b, 1), &reference);
         prop_assert_eq!(&multiply_scheme(&winograd(), &a, &b, 1), &reference);
     }

@@ -36,16 +36,6 @@ impl IoStats {
     pub fn time(&self, alpha: f64, beta: f64) -> f64 {
         alpha * self.total_msgs() as f64 + beta * self.total_words() as f64
     }
-
-    /// Component-wise sum.
-    pub fn merged(&self, o: &IoStats) -> IoStats {
-        IoStats {
-            words_read: self.words_read + o.words_read,
-            words_written: self.words_written + o.words_written,
-            read_msgs: self.read_msgs + o.read_msgs,
-            write_msgs: self.write_msgs + o.write_msgs,
-        }
-    }
 }
 
 /// Explicitly managed two-level memory machine.
@@ -204,25 +194,5 @@ mod tests {
         mc.stream(16, 0); // 2 msgs, 16 words
         let t = mc.stats().time(10.0, 0.5);
         assert!((t - (2.0 * 10.0 + 16.0 * 0.5)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merged_adds_fields() {
-        let a = IoStats {
-            words_read: 1,
-            words_written: 2,
-            read_msgs: 3,
-            write_msgs: 4,
-        };
-        let b = IoStats {
-            words_read: 10,
-            words_written: 20,
-            read_msgs: 30,
-            write_msgs: 40,
-        };
-        let m = a.merged(&b);
-        assert_eq!(m.words_read, 11);
-        assert_eq!(m.words_written, 22);
-        assert_eq!(m.total_msgs(), 77);
     }
 }

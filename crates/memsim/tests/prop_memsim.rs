@@ -1,50 +1,14 @@
-//! Property-based tests: invariants of the two-level memory simulators.
+//! Property-based tests: invariants of the two-level memory simulator.
 
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::scheme::{strassen, winograd};
 use fastmm_memsim::explicit::{
     dfs_io_recurrence, multiply_blocked_explicit, multiply_dfs_explicit,
 };
-use fastmm_memsim::lru::LruCache;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn lru_inclusion_property(trace in proptest::collection::vec(0u64..48, 200..1200)) {
-        // LRU is a stack algorithm: misses are monotone non-increasing in
-        // capacity, on any trace
-        let mut prev = u64::MAX;
-        for cap in [2usize, 4, 8, 16, 32, 64] {
-            let mut c = LruCache::new(cap);
-            for &a in &trace {
-                c.access(a, false);
-            }
-            prop_assert!(c.misses <= prev, "cap {}: {} > {}", cap, c.misses, prev);
-            prev = c.misses;
-        }
-    }
-
-    #[test]
-    fn lru_writebacks_bounded_by_writes(
-        trace in proptest::collection::vec((0u64..32, any::<bool>()), 100..800),
-        cap in 2usize..32,
-    ) {
-        let mut c = LruCache::new(cap);
-        let mut writes = 0u64;
-        for &(a, w) in &trace {
-            c.access(a, w);
-            writes += w as u64;
-        }
-        c.flush();
-        // every written-back word was written at least once, and distinct
-        // dirty words never exceed total write accesses
-        prop_assert!(c.writebacks <= writes);
-        // total movement at least compulsory misses
-        let distinct: std::collections::HashSet<u64> = trace.iter().map(|&(a, _)| a).collect();
-        prop_assert!(c.misses >= distinct.len() as u64);
-    }
 
     #[test]
     fn dfs_measured_always_equals_recurrence(

@@ -175,6 +175,20 @@ impl FaultPlan {
         self
     }
 
+    /// Panic unless every rule can fire on a `p`-rank machine: a crash on
+    /// rank `p` or above, or a corruption whose `src` or `dst` is `p` or
+    /// above or whose `src == dst` (no rank sends to itself), would match
+    /// no frame and let the run report clean.
+    pub(crate) fn assert_fits(&self, p: usize) {
+        for f in &self.faults {
+            let fits = match *f {
+                Fault::CrashAtSend { rank, .. } => rank < p,
+                Fault::CorruptFrame { src, dst, .. } => src < p && dst < p && src != dst,
+            };
+            assert!(fits, "fault rule {f:?} can never fire on {p} ranks");
+        }
+    }
+
     /// Compile the per-rank view of this plan for `rank`.
     pub(crate) fn compile(self: &Arc<Self>, rank: usize) -> RankFaults {
         let mut crash_send: Option<u64> = None;

@@ -549,11 +549,17 @@ where
 /// dead peer (their peer panicked first) are classified as cascade victims
 /// and never reported as the cause. A deadlock (all live ranks blocked on
 /// each other) is detected and reported too.
+///
+/// Panics before any rank starts if the fault plan names a rank outside
+/// `0..p`, or a frame a rank would send to itself: such a rule never fires.
 pub fn try_run_spmd<R, F>(cfg: MachineConfig, f: F) -> Result<SpmdResult<R>, RankFailed>
 where
     R: Send,
     F: Fn(&mut Rank) -> R + Sync,
 {
+    if let Some(plan) = &cfg.faults {
+        plan.assert_fits(cfg.p);
+    }
     crate::event::try_run(cfg, f)
 }
 
@@ -938,6 +944,33 @@ mod tests {
             assert_eq!(err.rank, 2, "genuine panic wins: {err}");
             assert!(err.payload.contains("real failure"), "{err}");
         }
+    }
+
+    /// `try_run_spmd` under `plan` on two ranks that each send the other
+    /// one frame.
+    fn exchange_under(plan: FaultPlan) {
+        let cfg = MachineConfig::new(2).with_fault_plan(plan);
+        let _ = try_run_spmd(cfg, |rank| {
+            rank.sendrecv(1 - rank.id, 0, vec![1.0], 1 - rank.id)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "CrashAtSend { rank: 2, nth: 1 } can never fire on 2 ranks")]
+    fn crash_on_a_rank_outside_the_machine_is_rejected() {
+        exchange_under(FaultPlan::new().with_crash_at_send(2, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "can never fire on 2 ranks")]
+    fn corrupt_frame_to_a_rank_outside_the_machine_is_rejected() {
+        exchange_under(FaultPlan::new().with_corrupt_frame(0, 2, None, 1, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "can never fire on 2 ranks")]
+    fn corrupt_frame_a_rank_sends_itself_is_rejected() {
+        exchange_under(FaultPlan::new().with_corrupt_frame(1, 1, None, 1, 0, 0));
     }
 
     #[test]

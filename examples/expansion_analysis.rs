@@ -11,7 +11,7 @@ use fastmm_cdag::layered::{build_dec, SchemeShape};
 use fastmm_core::prelude::*;
 use fastmm_expansion::certificate::{lemma43_certificate, lemma43_min_expansion};
 use fastmm_expansion::exact::exact_h;
-use fastmm_expansion::search::{find_best_cut, SearchOptions};
+use fastmm_expansion::search::find_best_cut;
 use fastmm_expansion::spectral::spectral_bounds;
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
                 ),
             )
         } else {
-            find_best_cut(csr, d, SearchOptions::with_max_size(n / 2))
+            find_best_cut(csr, d, n / 2)
         };
         let (spec, _) = spectral_bounds(csr, d, 400);
         let guar = lemma43_min_expansion(&dec, d);

@@ -6,7 +6,7 @@ use fastmm_core::pipeline::expansion_io_bound;
 use fastmm_core::prelude::*;
 use fastmm_expansion::certificate::{lemma43_certificate, lemma43_min_expansion};
 use fastmm_expansion::exact::exact_h;
-use fastmm_expansion::search::{find_best_cut, SearchOptions};
+use fastmm_expansion::search::find_best_cut;
 use fastmm_expansion::spectral::spectral_bounds;
 use fastmm_memsim::explicit::multiply_dfs_explicit;
 use rand::rngs::StdRng;
@@ -27,7 +27,7 @@ fn every_found_cut_respects_the_lemma_guarantee() {
         let best = if n <= 24 {
             exact_h(csr, d).expansion
         } else {
-            find_best_cut(csr, d, SearchOptions::with_max_size(n / 2)).expansion
+            find_best_cut(csr, d, n / 2).expansion
         };
         let guarantee = lemma43_min_expansion(&dec, d);
         assert!(
@@ -48,7 +48,7 @@ fn cheeger_brackets_the_best_cut() {
         let best = if n <= 24 {
             exact_h(csr, d).expansion
         } else {
-            find_best_cut(csr, d, SearchOptions::with_max_size(n / 2)).expansion
+            find_best_cut(csr, d, n / 2).expansion
         };
         // the found cut is an upper bound on h, so it must exceed the
         // spectral lower bound
@@ -65,11 +65,7 @@ fn certificate_chain_on_best_cuts() {
     let dec = build_dec(&strassen_shape(), 3);
     let d = dec.graph.max_degree();
     let csr = dec.graph.undirected_csr();
-    let cut = find_best_cut(
-        csr,
-        d,
-        SearchOptions::with_max_size(dec.graph.n_vertices() / 2),
-    );
+    let cut = find_best_cut(csr, d, dec.graph.n_vertices() / 2);
     let cert = lemma43_certificate(&dec, &cut.set);
     assert_eq!(
         cert.cut_edges, cut.cut_edges,

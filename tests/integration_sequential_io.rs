@@ -42,10 +42,16 @@ fn dfs_strassen_io_sandwiched_by_theory() {
 #[test]
 fn blocked_classical_io_matches_hong_kung_shape() {
     let m = 192;
+    // Tile side ⌊√(M/3)⌋: one tile each of A, B and C fits in fast memory.
+    let t = 8;
     let mut ratios = Vec::new();
     for &n in &[32usize, 64, 128] {
         let (a, b) = sample(n, n as u64);
         let run = multiply_blocked_explicit(&a, &b, m);
+        // Each of the (n/t)² C tiles reads n/t tile pairs of A and B and is
+        // written once.
+        let words = 2 * n.pow(3) / t + n * n;
+        assert_eq!(run.io.total_words(), words as u64, "n = {n}");
         ratios.push(run.io.total_words() as f64 / seq_bandwidth_lower_bound(CLASSICAL, n, m));
     }
     let lo = ratios.iter().cloned().fold(f64::INFINITY, f64::min);
