@@ -38,7 +38,12 @@ fn json_objects(rows: &[String]) -> String {
 
 #[test]
 fn e1_sequential_io_smoke() {
-    assert_report("e1", &exp::e1_thm11_sequential(), "Theorem 1.1", 5);
+    let out = exp::e1_thm11_sequential();
+    assert_report("e1", &out, "Theorem 1.1", 5);
+    assert!(
+        out.contains("meas/bound"),
+        "e1: ratio column missing:\n{out}"
+    );
 }
 
 #[test]
@@ -70,12 +75,21 @@ fn e4_small_set_smoke() {
 
 #[test]
 fn e5_cdag_structure_smoke() {
-    assert_report("e5", &exp::e5_fig2_structure().0, "Figure 2", 5);
+    let out = exp::e5_fig2_structure().0;
+    assert_report("e5", &out, "Figure 2", 5);
+    // classical Dec_1 C splits into one component per output entry (so
+    // Sec 5.1.1 excludes it); Strassen's is connected
+    for needle in ["4 components", "connected=true"] {
+        assert!(
+            out.contains(needle),
+            "e5: expected {needle:?} in output:\n{out}"
+        );
+    }
 }
 
 #[test]
 fn e6_partition_argument_smoke() {
-    assert_report("e6", &exp::e6_partition_argument(), "Partition argument", 5);
+    assert_report("e6", &exp::e6_partition_argument(), "Partition argument", 6);
 }
 
 #[test]

@@ -122,7 +122,7 @@ impl EngineConfig {
 #[derive(Clone, Debug)]
 pub struct Job {
     /// Index into the engine's scheme table
-    /// (see [`EngineHandle::scheme_index`]).
+    /// (see [`EngineHandle::schemes`]).
     pub scheme: usize,
     /// Left operand, `M × K`.
     pub a: Matrix<f64>,
@@ -396,16 +396,6 @@ impl EngineHandle {
         self.cutoff
     }
 
-    /// Worker shard count.
-    pub fn workers(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// The queue bound (jobs).
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
-    }
-
     /// In-flight (submitted, not yet completed) job count.
     pub fn queue_depth(&self) -> usize {
         self.in_flight.load(Ordering::SeqCst)
@@ -414,11 +404,6 @@ impl EngineHandle {
     /// The engine's scheme table, in index order.
     pub fn schemes(&self) -> &[BilinearScheme] {
         &self.schemes
-    }
-
-    /// Resolve a scheme name to its table index.
-    pub fn scheme_index(&self, name: &str) -> Option<usize> {
-        self.schemes.iter().position(|s| s.name == name)
     }
 
     /// Submit a batch. Jobs are validated (in-range scheme index,

@@ -1,39 +1,11 @@
-//! # fastmm — umbrella crate
+//! # fastmm — root package
 //!
-//! Single-dependency entry point for the reproduction of *Ballard, Demmel,
-//! Holtz, Schwartz, "Graph Expansion and Communication Costs of Fast Matrix
-//! Multiplication" (SPAA'11)*. Re-exports the full crate stack and hosts the
-//! repo-level integration suites (`tests/`) and runnable examples
-//! (`examples/`).
-//!
-//! Layout (dependency order, substrate first):
-//!
-//! * [`matrix`] — dense matrices, exact scalars, bilinear schemes;
-//! * [`cdag`] — computation DAGs of Strassen-like algorithms;
-//! * [`expansion`] — edge expansion of `Dec_k C` with certificates;
-//! * [`pebble`] — pebbling schedules and the partition lower bound;
-//! * [`memsim`] — sequential two-level memory simulation;
-//! * [`parsim`] — distributed-memory simulation (Cannon, 2.5D, CAPS);
-//! * [`core`] — the paper's communication bounds and the expansion ⇒ I/O
-//!   pipeline;
-//! * [`serve`] — long-lived batched multiply service over the arena
-//!   engine (wire format, worker shards, backpressure);
-//! * [`bench`](mod@bench) — experiment harness behind the `repro_*`
-//!   binaries.
+//! Reproduction of *Ballard, Demmel, Holtz, Schwartz, "Graph Expansion and
+//! Communication Costs of Fast Matrix Multiplication" (SPAA'11)*. This
+//! package owns the repo-level integration suites (`tests/`) and runnable
+//! examples (`examples/`); its library exports nothing. Both import the
+//! workspace crates they exercise directly, and `fastmm_core::prelude` is
+//! the one glob import over the whole stack (README's *Workspace map*
+//! lists the crates).
 
 #![warn(missing_docs)]
-
-pub use fastmm_bench as bench;
-pub use fastmm_core as core;
-pub use fastmm_core::cdag;
-pub use fastmm_core::expansion;
-pub use fastmm_core::matrix;
-pub use fastmm_core::memsim;
-pub use fastmm_core::parsim;
-pub use fastmm_core::pebble;
-pub use fastmm_serve as serve;
-
-/// Convenient glob import, re-exported from [`fastmm_core::prelude`].
-pub mod prelude {
-    pub use fastmm_core::prelude::*;
-}
