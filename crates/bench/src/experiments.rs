@@ -11,9 +11,8 @@ use fastmm_matrix::dense::Matrix;
 use fastmm_memsim::explicit::{
     dfs_io_recurrence_mkn, multiply_blocked_explicit, multiply_dfs_explicit,
 };
-use fastmm_parsim::cannon::cannon;
+use fastmm_parsim::cannon::{cannon, multiply_25d};
 use fastmm_parsim::caps::{caps, CapsPlan};
-use fastmm_parsim::grid3d::{multiply_25d, multiply_3d};
 use fastmm_parsim::machine::MachineConfig;
 use fastmm_pebble::executor::{execute_schedule, Evict};
 use fastmm_pebble::partition::partition_lower_bound;
@@ -326,7 +325,7 @@ pub fn e7_table1() -> String {
     }
     {
         let (a, b) = sample_f64(84, 2);
-        let (_, r) = multiply_3d(MachineConfig::new(64), &a, &b);
+        let (_, r) = multiply_25d(MachineConfig::new(64), 4, &a, &b);
         row("3d", 64, 84, r.max_memory(), r.max_words());
     }
     {
@@ -537,7 +536,7 @@ pub fn e10_parallel(n: usize, thread_counts: &[usize]) -> String {
         };
         for &p in thread_counts {
             let cfg = ParallelConfig::new(p);
-            let plan = params.exec_plan((n, n, n), cutoff, &cfg);
+            let plan = plan_bfs_dfs(scheme.dims(), scheme.r, (n, n, n), cutoff, &cfg);
             let secs = if p == 1 {
                 base
             } else {

@@ -501,6 +501,12 @@ fn repro_faults_demo_failure_exits_nonzero_with_structured_report() {
             "structured report missing {needle}: {stderr}"
         );
     }
+    // The injected crash and its cascade victims are expected failures:
+    // they unwind past the panic hook, so the report is all stderr holds.
+    assert!(
+        !stderr.contains("panicked at"),
+        "expected failures reached the panic hook: {stderr}"
+    );
 }
 
 #[test]

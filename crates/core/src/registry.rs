@@ -58,28 +58,6 @@ impl SchemeParams {
         self.m
     }
 
-    /// The CAPS-style BFS/DFS execution plan for multiplying an
-    /// `mm x kk` by `kk x nn` problem with this base case under `config`
-    /// (threads + memory budget; see
-    /// [`ParallelConfig`](fastmm_matrix::parallel::ParallelConfig)).
-    /// Delegates to [`fastmm_matrix::parallel::plan_bfs_dfs`], so abstract
-    /// entries (e.g. [`LADERMAN`]) get the same planner as executable
-    /// schemes.
-    pub fn exec_plan(
-        &self,
-        shape: (usize, usize, usize),
-        cutoff: usize,
-        config: &fastmm_matrix::parallel::ParallelConfig,
-    ) -> fastmm_matrix::parallel::BfsDfsPlan {
-        fastmm_matrix::parallel::plan_bfs_dfs(
-            (self.m, self.k, self.n),
-            self.r,
-            shape,
-            cutoff,
-            config,
-        )
-    }
-
     /// Extract parameters from an executable scheme.
     pub fn of_scheme(s: &BilinearScheme) -> SchemeParams {
         // leak the name so the struct stays Copy; schemes are few and static
@@ -167,10 +145,6 @@ mod tests {
         let deep = SchemeParams::of_scheme(&winograd_2x4x2());
         assert!(!deep.is_square());
         assert_eq!((deep.m, deep.k, deep.n, deep.r), (2, 4, 2, 14));
-        // abstract entries plan through the same machinery
-        let cfg = fastmm_matrix::parallel::ParallelConfig::new(8);
-        let lad = LADERMAN.exec_plan((729, 729, 729), 27, &cfg);
-        assert!(lad.task_count >= 1);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! * [`dense::Matrix`] — row-major dense matrices with block views, generic
 //!   over exact and inexact [`scalar::Scalar`] rings (including the prime
 //!   field [`scalar::Fp`] used for exact cross-algorithm validation);
-//! * [`classical`] — Θ(n³) reference kernels (naive, tiled, cache-oblivious);
+//! * [`classical`] — the Θ(n³) loops: [`classical::multiply_naive`], the
+//!   correctness oracle, and [`classical::multiply_kernel_into`], the
+//!   view-level loop the packed kernel runs on small shapes;
 //! * [`scheme`] — the bilinear `⟨n₀; m(n₀)⟩` framework of the paper's
 //!   Section 5.1, with Brent-equation verification, straight-line programs
 //!   (Strassen's 18 vs Winograd's 15 additions), and tensor products;

@@ -46,11 +46,11 @@ use crate::machine::{
 /// the CAPS/dist recursion (a few dozen small frames) at any tested size.
 const RANK_STACK_BYTES: usize = 1 << 20;
 
-/// Lock a mutex, ignoring poisoning: ranks unwind through `panic_any`
-/// (cascade victims, deadlock poison) by design, and the state they
-/// protect stays consistent because guards are always dropped before
-/// panicking. Propagating poison would turn one simulated failure into a
-/// process-wide cascade of lock panics.
+/// Lock a mutex, ignoring poisoning: ranks unwind through `resume_unwind`
+/// (injected crashes, cascade victims, deadlock poison) by design, and
+/// the state they protect stays consistent because guards are always
+/// dropped before unwinding. Propagating poison would turn one simulated
+/// failure into a process-wide cascade of lock panics.
 fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -250,11 +250,11 @@ impl EventEndpoint {
                     // The source died without (or before) sending: cascade
                     // victim, same classification as a hung-up channel.
                     drop(st);
-                    std::panic::panic_any(PeerHungUp);
+                    std::panic::resume_unwind(Box::new(PeerHungUp));
                 }
                 if st.poisoned[self.id] {
                     drop(st);
-                    std::panic::panic_any(DeadlockPoison { from, tag });
+                    std::panic::resume_unwind(Box::new(DeadlockPoison { from, tag }));
                 }
                 st.status[self.id] = Status::Blocked { from, tag };
                 st.parked_on[from] += 1;

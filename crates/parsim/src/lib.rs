@@ -6,12 +6,13 @@
 //! word/message/memory accounting — exactly the quantities Corollaries
 //! 1.2/1.4 and Table I bound.
 //!
-//! Algorithms: Cannon's 2D ([`cannon`]), the 3D and 2.5D classical
-//! algorithms ([`grid3d`]), CAPS, the communication-optimal parallel
-//! Strassen ([`caps`](mod@caps)), and the generic distributed-memory
-//! execution engine ([`exec`]) that runs *every* registry scheme on any
-//! rank count by actual block exchange, bit-identical to the sequential
-//! engine.
+//! Algorithms: the classical rows of Table I in one body ([`cannon`]:
+//! Cannon's algorithm on `c` replicated layers, so `c = 1` is 2D Cannon,
+//! `1 < c < p^{1/3}` 2.5D and `c = p^{1/3}` the 3D regime), CAPS, the
+//! communication-optimal parallel Strassen ([`caps`](mod@caps)), and the
+//! generic distributed-memory execution engine ([`exec`]) that runs
+//! *every* registry scheme on any rank count by actual block exchange,
+//! bit-identical to the sequential engine.
 //!
 //! One cost rule prices every rank and link alike: `α + β·len` at both
 //! ends of a message and `γ·flops` per compute, less an optional overlap
@@ -34,12 +35,10 @@
 
 pub mod cannon;
 pub mod caps;
-pub mod dist;
 mod event;
 pub mod exec;
 pub mod fault;
 mod frame;
-pub mod grid3d;
 pub mod machine;
 
 pub use caps::{caps, caps_scheme, CapsPlan, Step};

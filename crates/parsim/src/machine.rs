@@ -297,16 +297,18 @@ impl Rank {
         self.stats
     }
 
-    /// Unwind with an [`InjectedCrash`] carrying provenance.
+    /// Unwind with an [`InjectedCrash`] carrying provenance. The failure
+    /// is expected, so it unwinds past the panic hook (`resume_unwind`)
+    /// and [`try_run_spmd`] reports it once; a genuine panic still prints.
     fn injected_panic(&self, kind: InjectedKind, detail: String) -> ! {
-        std::panic::panic_any(InjectedCrash {
+        std::panic::resume_unwind(Box::new(InjectedCrash {
             fault: InjectedFault {
                 kind,
                 rank: self.id,
                 step: self.ops,
             },
             detail,
-        })
+        }))
     }
 
     /// Record a locally corrected frame (checksum recovery).
@@ -393,7 +395,7 @@ impl Rank {
         if !self.endpoint.send(to, msg) {
             // The destination rank died; unwind as a cascade victim so
             // `try_run_spmd` reports the peer's panic, not this one.
-            std::panic::panic_any(PeerHungUp);
+            std::panic::resume_unwind(Box::new(PeerHungUp));
         }
     }
 

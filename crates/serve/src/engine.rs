@@ -46,7 +46,7 @@
 //! how long the ticket will wait before resolving the remaining jobs to
 //! [`JobError::DeadlineExceeded`].
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -522,11 +522,12 @@ fn shard_loop(
         let result = loop {
             let run = catch_unwind(AssertUnwindSafe(|| {
                 if attempts < job.injected_panics {
-                    panic!(
+                    // Expected, so it skips the panic hook and prints nothing.
+                    resume_unwind(Box::new(format!(
                         "injected worker panic (attempt {} of job slot {})",
                         attempts + 1,
                         unit.slot
-                    );
+                    )));
                 }
                 let mut c = Matrix::zeros(job.a.rows(), job.b.cols());
                 multiply_into(

@@ -2,9 +2,8 @@
 //! simulated distributed machine vs the fastmm-core bounds.
 
 use fastmm_core::prelude::*;
-use fastmm_parsim::cannon::cannon;
+use fastmm_parsim::cannon::{cannon, multiply_25d};
 use fastmm_parsim::caps::{caps, CapsPlan};
-use fastmm_parsim::grid3d::{multiply_25d, multiply_3d};
 use fastmm_parsim::machine::MachineConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,9 +23,9 @@ fn all_parallel_algorithms_agree_with_classical() {
     let want = multiply_naive(&a, &b);
     let (c1, _) = cannon(MachineConfig::new(4), &a, &b);
     assert!(c1.max_abs_diff(&want, |x| x) < 1e-9, "cannon");
-    let (c2, _) = multiply_3d(MachineConfig::new(8), &a, &b);
+    let (c2, _) = multiply_25d(MachineConfig::new(8), 2, &a, &b);
     assert!(c2.max_abs_diff(&want, |x| x) < 1e-9, "3d");
-    let (c3, _) = multiply_25d(MachineConfig::new(8), 2, &a, &b);
+    let (c3, _) = multiply_25d(MachineConfig::new(32), 2, &a, &b);
     assert!(c3.max_abs_diff(&want, |x| x) < 1e-9, "2.5d");
     let (a7, b7) = sample(28, 2);
     let want7 = multiply_naive(&a7, &b7);
