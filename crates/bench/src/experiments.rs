@@ -1214,6 +1214,11 @@ pub fn e3_certificate_drilldown(k: usize) -> String {
 /// would otherwise dominate the (physically tiny) dispatch overhead
 /// separating worker counts.
 ///
+/// A row's `workers` counts shards, not threads: a job the cutoff does
+/// not split (every job at the default sizes) may run on the thread
+/// waiting on the ticket while a shard is idle, so a row with
+/// `workers = w` can execute on up to `w + 1` threads.
+///
 /// Returns the report and its `BENCH_serve.json` rows, one per cell.
 pub fn e13_serve(
     ns: &[usize],

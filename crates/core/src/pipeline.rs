@@ -209,6 +209,9 @@ pub struct ServeExecReport {
     pub batch_arena_words: f64,
     /// The per-shard share of the batch traffic — the quantity a
     /// throughput-optimal dispatch drives toward the Corollary 1.2 shape.
+    /// An upper bound: a caller waiting on its ticket runs base-case jobs
+    /// of its batch itself while a shard is idle, so the shards may move
+    /// less.
     pub per_worker_share_words: f64,
 }
 

@@ -15,12 +15,26 @@
 //!
 //! ## Batched dispatch
 //!
-//! [`EngineHandle::submit`] takes a whole batch of [`Job`]s and deals
-//! them out in submission order, one job per work item, round-robin
-//! across the worker shards, so every batch spreads over the fleet and a
-//! straggler job never holds sibling jobs hostage behind it. Results
-//! stream back over the ticket's channel tagged with their submission
-//! index; [`BatchTicket::wait`] reassembles them in submission order.
+//! [`EngineHandle::submit`] puts a whole batch of [`Job`]s into one table
+//! of claimable slots and deals the slots out in submission order, one
+//! per work item, round-robin across the worker shards, so every batch
+//! spreads over the fleet and a straggler job never holds sibling jobs
+//! hostage behind it. Results stream back over the ticket's channel
+//! tagged with their submission index; [`BatchTicket::wait`] reassembles
+//! them in submission order.
+//!
+//! A caller about to block in [`BatchTicket::recv_next`] (and so in
+//! [`BatchTicket::wait`]) first runs its own batch's last unstarted
+//! base-case job — one [`splits`] does not split at the engine's cutoff —
+//! on its own thread, as long as fewer jobs are running engine-wide than
+//! the engine has shards: it takes an idle shard's turn instead of
+//! sleeping behind the queue, and adds no busy thread while every shard
+//! is busy. Whoever claims a slot takes its job out, so each job runs
+//! once, and a shard skips a slot already claimed. Recursing jobs stay on
+//! the shards, whose warm arenas they need; a ticket with a deadline
+//! never runs a job itself; and one caller at a time runs on the engine's
+//! caller arena (a second waiting caller blocks). So an engine of `w`
+//! shards computes on at most `w + 1` threads.
 //!
 //! ## Backpressure
 //!
@@ -28,18 +42,19 @@
 //! submit that would exceed it returns [`Submit::Rejected`] carrying the
 //! observed queue depth — callers shed load or retry; the engine never
 //! buffers without bound. The counter is maintained atomically across
-//! concurrent submitters and decremented by workers as jobs complete.
+//! concurrent submitters and decremented as jobs complete, on a shard or
+//! on a waiting caller.
 //!
 //! ## Supervision
 //!
-//! Each shard runs its jobs one at a time, each under `catch_unwind`. A
-//! job that panics is retried **in place**: the shard replaces its arena
-//! with a fresh one (the panic may have left it half-written) and runs
-//! the job again, until it succeeds or has failed
+//! Shards and waiting callers run every job through one function, under
+//! `catch_unwind`. A job that panics is retried **in place**: the runner
+//! replaces its arena with a fresh one (the panic may have left it
+//! half-written) and runs the job again, until it succeeds or has failed
 //! [`EngineConfig::max_job_retries`]` + 1` times, when it resolves to a
-//! typed [`JobError::WorkerPanicked`] — never a lost result — and the
-//! shard moves on to its next job. A panic outside a job ends the shard;
-//! its queued jobs then resolve to [`JobError::ShardLost`]. Every
+//! typed [`JobError::WorkerPanicked`] — never a lost result. A panic
+//! outside a job ends the shard; the jobs queued to it resolve to
+//! [`JobError::ShardLost`], unless a waiting caller runs them first. Every
 //! submitted job therefore resolves to exactly one [`JobResult`], so
 //! [`BatchTicket::wait`]/[`BatchTicket::recv_next`] can never hang on a
 //! dead shard; [`EngineHandle::submit_with_deadline`] additionally bounds
@@ -48,12 +63,12 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fastmm_matrix::arena::multiply_into;
+use fastmm_matrix::arena::{multiply_into, splits};
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::scheme::{all_schemes, BilinearScheme};
 use fastmm_matrix::ScratchArena;
@@ -233,14 +248,26 @@ impl Submit {
 /// latency). Every slot resolves exactly once — to a product or a typed
 /// [`JobError`] — even if a shard dies or the batch deadline passes; the
 /// ticket can never hang.
-#[derive(Debug)]
 pub struct BatchTicket {
     rx: Receiver<(usize, JobResult)>,
+    /// The batch's jobs, which a waiting caller may claim.
+    slots: Slots,
+    shared: Arc<Shared>,
     total: usize,
     resolved: Vec<bool>,
     received: usize,
     /// Absolute deadline (set by [`EngineHandle::submit_with_deadline`]).
     deadline: Option<Instant>,
+}
+
+impl std::fmt::Debug for BatchTicket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BatchTicket")
+            .field("total", &self.total)
+            .field("received", &self.received)
+            .field("deadline", &self.deadline)
+            .finish_non_exhaustive()
+    }
 }
 
 impl BatchTicket {
@@ -262,18 +289,51 @@ impl BatchTicket {
         Some((slot, Err(err)))
     }
 
+    /// Claim this batch's last unstarted base-case job and run it on the
+    /// calling thread, if fewer jobs are running than the engine has
+    /// shards and no other caller holds the caller arena. Returns the
+    /// job's slot and result, or `None` if it ran nothing.
+    fn claim_and_run(&self) -> Option<(usize, JobResult)> {
+        let shared = &*self.shared;
+        // Held or poisoned: block as a caller without the arena would.
+        let Ok(mut arena) = shared.caller_arena.try_lock() else {
+            return None;
+        };
+        if shared.running.load(Ordering::SeqCst) >= shared.shards {
+            return None;
+        }
+        let (slot, job) = lock(&self.slots)
+            .iter_mut()
+            .enumerate()
+            .rev()
+            .find_map(|(slot, j)| Some((slot, j.take_if(|j| shared.is_base_case(j))?)))?;
+        let result = run_job(shared, slot, job, &mut arena);
+        arena.trim(DEFAULT_MAX_RETAINED_WORDS);
+        Some((slot, result))
+    }
+
     /// Block for the next resolution: `(submission index, result)`.
-    /// Returns `None` once every job in the batch has resolved. A dead
-    /// shard resolves the remaining slots to [`JobError::ShardLost`]; a
-    /// passed deadline resolves them to [`JobError::DeadlineExceeded`]
-    /// (late completions of already-resolved slots are discarded).
+    /// Returns `None` once every job in the batch has resolved. Before it
+    /// blocks, a ticket without a deadline runs its batch's last
+    /// unstarted base-case job on the calling thread while a shard is
+    /// idle, and returns that job's result (see the module doc's
+    /// *Batched dispatch*). A dead shard resolves the remaining slots to
+    /// [`JobError::ShardLost`]; a passed deadline resolves them to
+    /// [`JobError::DeadlineExceeded`] (late completions of
+    /// already-resolved slots are discarded).
     pub fn recv_next(&mut self) -> Option<(usize, JobResult)> {
         loop {
             if self.received == self.total {
                 return None;
             }
             let msg = match self.deadline {
-                None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                None => match self.rx.try_recv() {
+                    Err(TryRecvError::Empty) => match self.claim_and_run() {
+                        Some(done) => Ok(done),
+                        None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                    },
+                    msg => msg.map_err(|_| RecvTimeoutError::Disconnected),
+                },
                 Some(dl) => {
                     let now = Instant::now();
                     if now >= dl {
@@ -304,7 +364,9 @@ impl BatchTicket {
     }
 
     /// Block until the whole batch resolves; per-job results in
-    /// submission order.
+    /// submission order. Like [`BatchTicket::recv_next`], which it calls,
+    /// it runs base-case jobs of the batch on the calling thread while a
+    /// shard is idle.
     pub fn wait(mut self) -> Vec<JobResult> {
         let mut out: Vec<Option<JobResult>> = (0..self.total).map(|_| None).collect();
         while let Some((slot, r)) = self.recv_next() {
@@ -327,13 +389,53 @@ impl BatchTicket {
     }
 }
 
-/// One job en route to a worker shard.
+/// A submitted batch as one table of claimable slots. Whoever claims a
+/// slot — the shard its work unit went to, or the batch's waiting caller
+/// — takes the job out, so the job runs once and its runner drops its
+/// operands.
+type Slots = Arc<Mutex<Vec<Option<Job>>>>;
+
+/// Lock a batch's slot table. Its only update is an `Option::take`,
+/// which leaves the table valid whenever it stops, so a poisoned lock is
+/// recovered rather than propagated.
+fn lock(slots: &Slots) -> MutexGuard<'_, Vec<Option<Job>>> {
+    slots.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One slot of a batch en route to a worker shard. The unit holds the
+/// batch's result sender, so a shard that dies drops it and the ticket
+/// sees the channel disconnect.
 struct WorkUnit {
+    slots: Slots,
     /// Submission index within its batch.
     slot: usize,
-    job: Job,
     /// Where the owning batch collects results.
     results: Sender<(usize, JobResult)>,
+}
+
+/// Engine state the shards and tickets share with the handle.
+struct Shared {
+    schemes: Vec<BilinearScheme>,
+    cutoff: usize,
+    max_job_retries: u32,
+    /// Worker shard count.
+    shards: usize,
+    /// Submitted, not yet completed jobs: the backpressure count.
+    in_flight: AtomicUsize,
+    /// Jobs running right now, on a shard or on a waiting caller.
+    running: AtomicUsize,
+    /// The arena a waiting caller runs a claimed job on, one caller at a
+    /// time.
+    caller_arena: Mutex<ScratchArena<f64>>,
+}
+
+impl Shared {
+    /// Whether `job` runs as one base-case kernel call at the engine's
+    /// cutoff, so it needs no shard's warm recursion arena.
+    fn is_base_case(&self, job: &Job) -> bool {
+        let shape = (job.a.rows(), job.a.cols(), job.b.cols());
+        !splits(self.schemes[job.scheme].dims(), shape, self.cutoff)
+    }
 }
 
 /// Handle to a running engine: worker shards with warmed arenas, a
@@ -341,13 +443,11 @@ struct WorkUnit {
 /// (or calling [`EngineHandle::shutdown`]) disconnects the shards and
 /// joins them.
 pub struct EngineHandle {
-    schemes: Arc<Vec<BilinearScheme>>,
+    shared: Arc<Shared>,
     senders: Vec<Sender<WorkUnit>>,
     workers: Vec<JoinHandle<()>>,
-    in_flight: Arc<AtomicUsize>,
     next_worker: AtomicUsize,
     queue_capacity: usize,
-    cutoff: usize,
 }
 
 impl EngineHandle {
@@ -361,49 +461,59 @@ impl EngineHandle {
     /// is resolved once, here, and shared by every worker for the life of
     /// the engine.
     pub fn start_with_schemes(config: EngineConfig, schemes: Vec<BilinearScheme>) -> Self {
-        let cutoff = fastmm_matrix::tune::resolve_cutoff(config.cutoff);
-        let workers = config.workers.max(1);
-        let schemes = Arc::new(schemes);
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for shard in 0..workers {
-            let (tx, rx) = channel::<WorkUnit>();
-            let schemes = Arc::clone(&schemes);
-            let in_flight = Arc::clone(&in_flight);
-            let max_retries = config.max_job_retries;
-            handles.push(
+        let (mut engine, receivers) = Self::unstarted(config, schemes);
+        for (shard, rx) in receivers.into_iter().enumerate() {
+            let shared = Arc::clone(&engine.shared);
+            engine.workers.push(
                 std::thread::Builder::new()
                     .name(format!("fastmm-serve-{shard}"))
-                    .spawn(move || shard_loop(rx, &schemes, cutoff, max_retries, &in_flight))
+                    .spawn(move || shard_loop(rx, &shared))
                     .expect("spawning worker shard"),
             );
-            senders.push(tx);
         }
-        EngineHandle {
+        engine
+    }
+
+    /// The engine with no shard threads yet, and the receiving end of
+    /// each shard's work queue.
+    fn unstarted(
+        config: EngineConfig,
+        schemes: Vec<BilinearScheme>,
+    ) -> (Self, Vec<Receiver<WorkUnit>>) {
+        let shards = config.workers.max(1);
+        let (senders, receivers) = (0..shards).map(|_| channel()).unzip();
+        let shared = Shared {
             schemes,
+            cutoff: fastmm_matrix::tune::resolve_cutoff(config.cutoff),
+            max_job_retries: config.max_job_retries,
+            shards,
+            in_flight: AtomicUsize::new(0),
+            running: AtomicUsize::new(0),
+            caller_arena: Mutex::new(ScratchArena::new()),
+        };
+        let engine = EngineHandle {
+            shared: Arc::new(shared),
             senders,
-            workers: handles,
-            in_flight,
+            workers: Vec::with_capacity(shards),
             next_worker: AtomicUsize::new(0),
             queue_capacity: config.queue_capacity,
-            cutoff,
-        }
+        };
+        (engine, receivers)
     }
 
     /// The resolved base-case cutoff every worker runs.
     pub fn cutoff(&self) -> usize {
-        self.cutoff
+        self.shared.cutoff
     }
 
     /// In-flight (submitted, not yet completed) job count.
     pub fn queue_depth(&self) -> usize {
-        self.in_flight.load(Ordering::SeqCst)
+        self.shared.in_flight.load(Ordering::SeqCst)
     }
 
     /// The engine's scheme table, in index order.
     pub fn schemes(&self) -> &[BilinearScheme] {
-        &self.schemes
+        &self.shared.schemes
     }
 
     /// Submit a batch. Jobs are validated (in-range scheme index,
@@ -419,7 +529,7 @@ impl EngineHandle {
     /// `deadline` has elapsed, the ticket resolves every still-pending
     /// job to [`JobError::DeadlineExceeded`] instead of blocking (late
     /// completions are discarded). The deadline clock starts at
-    /// acceptance.
+    /// acceptance. Its jobs run only on the shards.
     pub fn submit_with_deadline(&self, jobs: Vec<Job>, deadline: Duration) -> Submit {
         self.submit_inner(jobs, Some(deadline))
     }
@@ -427,7 +537,7 @@ impl EngineHandle {
     fn submit_inner(&self, jobs: Vec<Job>, deadline: Option<Duration>) -> Submit {
         for (i, job) in jobs.iter().enumerate() {
             assert!(
-                job.scheme < self.schemes.len(),
+                job.scheme < self.shared.schemes.len(),
                 "job {i}: scheme index {} out of range",
                 job.scheme
             );
@@ -438,32 +548,38 @@ impl EngineHandle {
             );
         }
         let n = jobs.len();
-        let depth = self.in_flight.fetch_add(n, Ordering::SeqCst);
+        let in_flight = &self.shared.in_flight;
+        let depth = in_flight.fetch_add(n, Ordering::SeqCst);
         if depth + n > self.queue_capacity {
-            self.in_flight.fetch_sub(n, Ordering::SeqCst);
+            in_flight.fetch_sub(n, Ordering::SeqCst);
             return Submit::Rejected { queue_depth: depth };
         }
         let (tx, rx) = channel();
+        let slots: Slots = Arc::new(Mutex::new(jobs.into_iter().map(Some).collect()));
         let shards = self.senders.len();
-        for (slot, job) in jobs.into_iter().enumerate() {
+        for slot in 0..n {
             let w = self.next_worker.fetch_add(1, Ordering::Relaxed) % shards;
             let unit = WorkUnit {
+                slots: Arc::clone(&slots),
                 slot,
-                job,
                 results: tx.clone(),
             };
             if let Err(failed) = self.senders[w].send(unit) {
                 // The shard is gone (it exits on its own only when its
                 // channel disconnects, so this means a panic outside a
                 // job): resolve the job instead of panicking or leaking
-                // queue capacity.
+                // queue capacity, and take it out of the table so no
+                // waiting caller runs it too.
                 let unit = failed.0;
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
+                lock(&unit.slots)[unit.slot] = None;
+                in_flight.fetch_sub(1, Ordering::SeqCst);
                 let _ = unit.results.send((unit.slot, Err(JobError::ShardLost)));
             }
         }
         Submit::Accepted(BatchTicket {
             rx,
+            slots,
+            shared: Arc::clone(&self.shared),
             total: n,
             resolved: vec![false; n],
             received: 0,
@@ -499,65 +615,272 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One worker shard: run each queued job on this shard's arena at the
-/// engine's resolved cutoff — the identical code path to
-/// `multiply_scheme`, so outputs are bitwise equal to the sequential
-/// engine whichever shard (or attempt) runs the job. A job that panics is
-/// retried in place on a fresh arena until it succeeds or has failed
-/// `max_job_retries + 1` times, and then resolves to
-/// [`JobError::WorkerPanicked`]; either way its slot resolves, so the
-/// owning ticket never hangs. Returns once the dispatch channel
-/// disconnects (engine teardown) and is drained.
-fn shard_loop(
-    rx: Receiver<WorkUnit>,
-    schemes: &[BilinearScheme],
-    cutoff: usize,
-    max_job_retries: u32,
-    in_flight: &AtomicUsize,
-) {
-    let mut arena = ScratchArena::new();
-    for unit in rx {
-        let job = &unit.job;
-        let mut attempts = 0u32;
-        let result = loop {
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                if attempts < job.injected_panics {
-                    // Expected, so it skips the panic hook and prints nothing.
-                    resume_unwind(Box::new(format!(
-                        "injected worker panic (attempt {} of job slot {})",
-                        attempts + 1,
-                        unit.slot
-                    )));
-                }
-                let mut c = Matrix::zeros(job.a.rows(), job.b.cols());
-                multiply_into(
-                    &schemes[job.scheme],
-                    job.a.view(),
-                    job.b.view(),
-                    &mut c.view_mut(),
-                    cutoff,
-                    &mut arena,
-                );
-                c
-            }));
-            match run {
-                Ok(c) => break Ok(c),
-                Err(payload) => {
-                    arena = ScratchArena::new();
-                    attempts += 1;
-                    if attempts > max_job_retries {
-                        break Err(JobError::WorkerPanicked {
-                            attempts,
-                            payload: panic_payload_string(payload.as_ref()),
-                        });
-                    }
+/// Run one claimed job on `arena` at the engine's resolved cutoff — the
+/// identical code path to `multiply_scheme`, so outputs are bitwise equal
+/// to the sequential engine whichever thread (or attempt) runs the job. A
+/// job that panics is retried in place on a fresh arena until it succeeds
+/// or has failed `max_job_retries + 1` times, and then resolves to
+/// [`JobError::WorkerPanicked`]. The job counts as running throughout,
+/// and leaves the in-flight count before its result resolves.
+fn run_job(shared: &Shared, slot: usize, job: Job, arena: &mut ScratchArena<f64>) -> JobResult {
+    shared.running.fetch_add(1, Ordering::SeqCst);
+    let mut attempts = 0u32;
+    let result = loop {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            if attempts < job.injected_panics {
+                // Expected, so it skips the panic hook and prints nothing.
+                resume_unwind(Box::new(format!(
+                    "injected worker panic (attempt {} of job slot {slot})",
+                    attempts + 1
+                )));
+            }
+            let mut c = Matrix::zeros(job.a.rows(), job.b.cols());
+            multiply_into(
+                &shared.schemes[job.scheme],
+                job.a.view(),
+                job.b.view(),
+                &mut c.view_mut(),
+                shared.cutoff,
+                arena,
+            );
+            c
+        }));
+        match run {
+            Ok(c) => break Ok(c),
+            Err(payload) => {
+                *arena = ScratchArena::new();
+                attempts += 1;
+                if attempts > shared.max_job_retries {
+                    break Err(JobError::WorkerPanicked {
+                        attempts,
+                        payload: panic_payload_string(payload.as_ref()),
+                    });
                 }
             }
+        }
+    };
+    shared.running.fetch_sub(1, Ordering::SeqCst);
+    shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+    result
+}
+
+/// One worker shard: run each queued unit's job on this shard's arena,
+/// unless the batch's waiting caller claimed it first, and send the
+/// result to the owning ticket. Every job it claims resolves, so the
+/// ticket never hangs. Returns once `units` ends — for a shard thread,
+/// when the dispatch channel disconnects (engine teardown) and is
+/// drained.
+fn shard_loop(units: impl IntoIterator<Item = WorkUnit>, shared: &Shared) {
+    let mut arena = ScratchArena::new();
+    for unit in units {
+        let Some(job) = lock(&unit.slots)[unit.slot].take() else {
+            continue;
         };
-        in_flight.fetch_sub(1, Ordering::SeqCst);
+        let result = run_job(shared, unit.slot, job, &mut arena);
         // The ticket may have been dropped; completing is still correct.
         let _ = unit.results.send((unit.slot, result));
         // Between units: bound what an idle shard keeps warm.
         arena.trim(DEFAULT_MAX_RETAINED_WORDS);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fastmm_matrix::recursive::multiply_scheme;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// An engine whose work units queue on receivers the test holds, so
+    /// no shard ever takes them: a job runs only on a waiting caller, or
+    /// when the test serves the queue itself ([`serve_queued`]). Nothing
+    /// here depends on thread timing.
+    fn held(config: EngineConfig) -> (EngineHandle, Vec<Receiver<WorkUnit>>) {
+        EngineHandle::unstarted(config, all_schemes())
+    }
+
+    /// Run every unit queued so far on this thread, as the shards would.
+    fn serve_queued(engine: &EngineHandle, receivers: &[Receiver<WorkUnit>]) {
+        for rx in receivers {
+            shard_loop(rx.try_iter(), &engine.shared);
+        }
+    }
+
+    fn job(rng: &mut StdRng, scheme: usize, (m, k, n): (usize, usize, usize)) -> Job {
+        Job::new(scheme, Matrix::random(m, k, rng), Matrix::random(k, n, rng))
+    }
+
+    fn expected(engine: &EngineHandle, jobs: &[Job]) -> Vec<Matrix<f64>> {
+        jobs.iter()
+            .map(|j| multiply_scheme(&engine.schemes()[j.scheme], &j.a, &j.b, engine.cutoff()))
+            .collect()
+    }
+
+    #[test]
+    fn a_waiting_caller_runs_every_base_case_job() {
+        let mut rng = StdRng::seed_from_u64(0x5E30E);
+        let (engine, receivers) = held(EngineConfig::new(2).with_cutoff(32));
+        let mut jobs = Vec::new();
+        for scheme in 0..engine.schemes().len() {
+            for dims in [(13, 7, 9), (32, 32, 32), (1, 30, 17)] {
+                jobs.push(job(&mut rng, scheme, dims));
+            }
+        }
+        assert!(jobs.iter().all(|j| engine.shared.is_base_case(j)));
+        let want = expected(&engine, &jobs);
+        let results = engine.submit(jobs).unwrap_ticket().wait_products();
+        for (i, (got, want)) in results.iter().zip(&want).enumerate() {
+            assert!(got.bits_eq(want), "job {i} diverged from multiply_scheme");
+        }
+        assert_eq!(engine.queue_depth(), 0, "every job left the queue");
+        // No shard took a unit: each is still queued, its slot claimed.
+        let queued: Vec<WorkUnit> = receivers.iter().flat_map(|rx| rx.try_iter()).collect();
+        assert_eq!(queued.len(), want.len());
+        assert!(queued.iter().all(|u| lock(&u.slots)[u.slot].is_none()));
+    }
+
+    #[test]
+    fn a_recursing_job_is_never_run_by_the_caller() {
+        let mut rng = StdRng::seed_from_u64(0x5E31E);
+        let (engine, receivers) = held(EngineConfig::new(2).with_cutoff(8));
+        let jobs = vec![
+            job(&mut rng, 2, (8, 8, 8)),
+            job(&mut rng, 2, (16, 16, 16)),
+            job(&mut rng, 2, (5, 8, 3)),
+        ];
+        assert!(!engine.shared.is_base_case(&jobs[1]));
+        let want = expected(&engine, &jobs);
+        let mut ticket = engine.submit(jobs).unwrap_ticket();
+        // The caller claims from the batch's end, skipping the recursing job.
+        for slot in [2, 0] {
+            let (got, res) = ticket.recv_next().expect("a base-case job resolves");
+            assert_eq!(got, slot);
+            assert!(res.expect("base-case job").bits_eq(&want[slot]));
+        }
+        assert!(lock(&ticket.slots)[1].is_some(), "nobody claimed it");
+        assert_eq!(engine.queue_depth(), 1);
+        // Its shard dies: dropping the queued units drops their senders.
+        for rx in receivers {
+            rx.try_iter().for_each(drop);
+        }
+        assert!(matches!(
+            ticket.recv_next(),
+            Some((1, Err(JobError::ShardLost)))
+        ));
+        assert!(ticket.recv_next().is_none());
+    }
+
+    #[test]
+    fn a_caller_runs_nothing_while_every_shard_is_busy() {
+        let mut rng = StdRng::seed_from_u64(0x5E32E);
+        let (engine, receivers) = held(EngineConfig::new(2).with_cutoff(32));
+        let jobs: Vec<Job> = (0..3).map(|_| job(&mut rng, 2, (16, 16, 16))).collect();
+        let want = expected(&engine, &jobs);
+        let mut ticket = engine.submit(jobs).unwrap_ticket();
+        let running = &engine.shared.running;
+        running.store(2, Ordering::SeqCst);
+        assert!(ticket.claim_and_run().is_none());
+        assert!(
+            lock(&ticket.slots).iter().all(Option::is_some),
+            "nothing claimed"
+        );
+        // One shard frees up: the caller takes its turn, once.
+        running.store(1, Ordering::SeqCst);
+        let (slot, res) = ticket.recv_next().expect("the caller runs a job");
+        assert_eq!(slot, 2);
+        assert!(res.expect("healthy job").bits_eq(&want[2]));
+        assert_eq!(running.load(Ordering::SeqCst), 1, "its job left the count");
+        // Busy again: the shards run the rest.
+        running.store(2, Ordering::SeqCst);
+        assert!(ticket.claim_and_run().is_none());
+        serve_queued(&engine, &receivers);
+        for slot in [0, 1] {
+            let (got, res) = ticket.recv_next().expect("a shard's result");
+            assert_eq!(got, slot);
+            assert!(res.expect("healthy job").bits_eq(&want[slot]));
+        }
+        assert!(ticket.recv_next().is_none());
+        assert_eq!(engine.queue_depth(), 0);
+    }
+
+    #[test]
+    fn a_caller_run_job_past_its_retry_budget_resolves_worker_panicked() {
+        let mut rng = StdRng::seed_from_u64(0x5E33E);
+        let config = EngineConfig::new(1).with_cutoff(32).with_max_job_retries(2);
+        let (engine, _receivers) = held(config);
+        let jobs = vec![
+            job(&mut rng, 3, (16, 16, 16)),
+            job(&mut rng, 3, (16, 16, 16)).with_injected_panics(3),
+            job(&mut rng, 3, (9, 4, 11)),
+        ];
+        let want = expected(&engine, &jobs);
+        let results = engine.submit(jobs).unwrap_ticket().wait();
+        match &results[1] {
+            Err(JobError::WorkerPanicked { attempts, payload }) => {
+                assert_eq!(*attempts, config.max_job_retries + 1);
+                assert!(payload.contains("injected worker panic"), "got: {payload}");
+            }
+            other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
+        for i in [0, 2] {
+            let got = results[i].as_ref().expect("sibling completes");
+            assert!(got.bits_eq(&want[i]), "job {i} diverged");
+        }
+        assert_eq!(engine.queue_depth(), 0);
+    }
+
+    #[test]
+    fn a_deadline_ticket_never_runs_a_job_itself() {
+        let mut rng = StdRng::seed_from_u64(0x5E34E);
+        let (engine, receivers) = held(EngineConfig::new(1).with_cutoff(32));
+        let jobs = vec![job(&mut rng, 2, (16, 16, 16))];
+        assert!(engine.shared.is_base_case(&jobs[0]));
+        let ticket = engine
+            .submit_with_deadline(jobs, Duration::ZERO)
+            .unwrap_ticket();
+        let results = ticket.wait();
+        assert!(matches!(results[..], [Err(JobError::DeadlineExceeded)]));
+        assert_eq!(engine.queue_depth(), 1, "the job never ran");
+        let unit = receivers[0].try_recv().expect("its unit is still queued");
+        assert!(lock(&unit.slots)[unit.slot].is_some(), "nobody claimed it");
+    }
+
+    /// The backpressure contract: a full queue rejects instead of
+    /// growing. No shard takes the held units, so the queue stays full
+    /// until the test serves it.
+    #[test]
+    fn full_queue_rejects_instead_of_growing() {
+        let (engine, receivers) = held(EngineConfig::new(1).with_cutoff(32).with_queue_capacity(2));
+        let mut rng = StdRng::seed_from_u64(0x5E23E);
+        let square = |n: usize, rng: &mut StdRng| job(rng, 0, (n, n, n));
+        // A batch larger than the whole queue is rejected outright, before
+        // anything is enqueued.
+        let oversized: Vec<Job> = (0..3).map(|_| square(128, &mut rng)).collect();
+        match engine.submit(oversized) {
+            Submit::Rejected { queue_depth } => assert_eq!(queue_depth, 0),
+            Submit::Accepted(_) => panic!("oversized batch must be rejected"),
+        }
+        assert_eq!(engine.queue_depth(), 0, "rejection must not leak depth");
+
+        // Fill the queue, then overflow it: the overflow is rejected with
+        // the observed depth while the accepted work is unaffected.
+        let overflow = vec![square(128, &mut rng)];
+        let filling = (0..2).map(|_| square(128, &mut rng)).collect();
+        let ticket = engine.submit(filling).unwrap_ticket();
+        match engine.submit(overflow) {
+            Submit::Rejected { queue_depth } => {
+                assert!(
+                    queue_depth >= 1,
+                    "depth {queue_depth} should reflect the backlog"
+                )
+            }
+            Submit::Accepted(_) => panic!("overflow past capacity must be rejected"),
+        }
+        serve_queued(&engine, &receivers);
+        let results = ticket.wait_products();
+        assert_eq!(results.len(), 2);
+        assert_eq!(engine.queue_depth(), 0, "queue drains to zero");
+        // Once drained, capacity is available again.
+        assert!(engine.submit(vec![square(128, &mut rng)]).is_accepted());
     }
 }

@@ -1,36 +1,37 @@
 //! # fastmm-serve — the long-lived batched multiply service
 //!
 //! Every other entry point in this workspace is one-shot: build operands,
-//! multiply, drop the arena. This crate is the opposite shape — the
-//! "millions of users" regime of the ROADMAP, where a resident engine
-//! keeps [`fastmm_matrix::ScratchArena`] pools warm and the base-case
-//! cutoff resolved across requests, so the per-request cost is the
-//! multiply itself and nothing else. Following the strong-scaling analysis
-//! of Demmel et al. (arXiv:1202.3177), the figure of merit here is
-//! *throughput* (multiplies/sec at bounded latency), not single-multiply
-//! time; experiment e13 (`repro_serve`) measures exactly that.
+//! multiply, drop the arena. This crate is the opposite shape: a resident
+//! engine keeps [`fastmm_matrix::ScratchArena`] pools warm and the
+//! base-case cutoff resolved across requests, so the per-request cost is
+//! the multiply itself and nothing else. Following the strong-scaling
+//! analysis of Demmel et al. (arXiv:1202.3177), the figure of merit here
+//! is *throughput* (multiplies/sec at bounded latency), not
+//! single-multiply time; experiment e13 (`repro_serve`) measures exactly
+//! that.
 //!
 //! Three pieces:
 //!
-//! * [`engine`] — [`EngineHandle`]: worker shards on OS threads joined by
-//!   `std::sync::mpsc` channels (the same mesh discipline as
-//!   `fastmm_parsim::machine`; no async runtime in this build
-//!   environment), each owning a private warmed arena. A request is a
-//!   *batch* of (scheme, A, B) jobs; the engine groups jobs by shape
-//!   class so one worker's arena serves a whole class back-to-back, and
-//!   applies **bounded-queue backpressure**: a submit that would exceed
-//!   the queue capacity returns [`Submit::Rejected`] with the observed
-//!   depth instead of buffering without bound. Shards are **supervised**:
-//!   a job that panics is retried in place on a fresh arena up to
+//! * [`engine`] — [`EngineHandle`]: worker shards on OS threads, each
+//!   owning a private warmed arena and fed by its own `std::sync::mpsc`
+//!   queue. A request is a *batch* of (scheme, A, B) jobs; the engine
+//!   deals them out one job per work item, round-robin across the shards
+//!   in submission order, and a caller waiting on its ticket runs its own
+//!   batch's base-case jobs (those the cutoff does not split) on its own
+//!   thread while a shard is idle. Admission applies **bounded-queue
+//!   backpressure**: a submit that would exceed the queue capacity returns
+//!   [`Submit::Rejected`] with the observed depth instead of buffering
+//!   without bound. Jobs are **supervised**: a job that panics is retried
+//!   in place on a fresh arena up to
 //!   [`EngineConfig::with_max_job_retries`] times and then surfaced as a
 //!   typed [`JobError`] — a ticket never hangs.
 //! * [`ser`] — the length-prefixed binary wire format: versioned header,
 //!   checked deserialization. Malformed frames return typed
 //!   [`ser::WireError`]s — never panic — and zero-dimension operands are
 //!   rejected at the boundary so they cannot reach a worker.
-//! * Determinism: a worker computes each job with the same arena
-//!   recursion as [`fastmm_matrix::recursive::multiply_scheme`] at the
-//!   engine's resolved cutoff, so batched results are **bitwise
+//! * Determinism: a shard or a waiting caller computes each job with the
+//!   same arena recursion as [`fastmm_matrix::recursive::multiply_scheme`]
+//!   at the engine's resolved cutoff, so batched results are **bitwise
 //!   identical** to the sequential engine at every worker count and
 //!   submission order (locked in by this crate's test suite and asserted
 //!   per row by e13 before timing).

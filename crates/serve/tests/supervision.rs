@@ -1,5 +1,6 @@
 //! The supervision contract: a job that panics can never wedge a
-//! ticket. The shard retries the job in place on a fresh arena, up to the
+//! ticket. Whoever runs the job (its shard, or the waiting caller for a
+//! base-case job) retries it in place on a fresh arena, up to the
 //! configured bound, and exhaustion surfaces as a typed
 //! [`JobError::WorkerPanicked`] on that job's slot — every other job in
 //! the batch still completes, bitwise identical to `multiply_scheme`.
@@ -25,7 +26,8 @@ fn job(rng: &mut StdRng, m: usize, k: usize, n: usize) -> Job {
 /// unconditionally-panicking job used to kill the only worker thread and
 /// leave every later job (and the ticket) hung forever. Under
 /// supervision, the poisoned job resolves to `WorkerPanicked` and the
-/// jobs queued behind it complete on the same shard.
+/// jobs queued behind it complete, on the same shard or on the waiting
+/// caller.
 #[test]
 fn worker_panic_cannot_wedge_a_ticket() {
     let schemes = all_schemes();
