@@ -1716,28 +1716,3 @@ pub fn e15_graph_scale(levels: &[usize]) -> (String, Vec<String>) {
     );
     (out, json_rows)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn e1_runs_and_mentions_ratio() {
-        let s = e1_thm11_sequential();
-        assert!(s.contains("meas/bound"));
-        assert!(s.lines().count() > 4);
-    }
-
-    #[test]
-    fn e5_structure_flags_classical() {
-        let (s, _) = e5_fig2_structure();
-        assert!(s.contains("4 components"));
-        assert!(s.contains("connected=true"));
-    }
-
-    #[test]
-    fn e6_bound_vs_measured_lines() {
-        let s = e6_partition_argument();
-        assert!(s.lines().count() >= 6);
-    }
-}

@@ -354,9 +354,10 @@ fn e12b_strong_scaling_shape_crossover_and_json_append() {
 
 #[test]
 fn e13_serve_smoke() {
-    // repro_serve defaults to n = 64/128 with batches {4,16} and workers
-    // {1,2,4}; the full report shape (and the internal bitwise-vs-
-    // multiply_scheme assertion per cell) is complete at one small cell.
+    // repro_serve defaults to n ∈ {40, 48, 64} × batches {2, 4} × workers
+    // {1, 2, 4} at 15 reps; the full report shape (and the internal
+    // bitwise-vs-multiply_scheme assertion per cell) is complete at one
+    // small cell.
     assert_report(
         "e13",
         &exp::e13_serve(&[32], &[4], &[1, 2], 2).0,

@@ -15,26 +15,25 @@
 //!
 //! ## Batched dispatch
 //!
-//! [`EngineHandle::submit`] puts a whole batch of [`Job`]s into one table
-//! of claimable slots and deals the slots out in submission order, one
-//! per work item, round-robin across the worker shards, so every batch
-//! spreads over the fleet and a straggler job never holds sibling jobs
-//! hostage behind it. Results stream back over the ticket's channel
-//! tagged with their submission index; [`BatchTicket::wait`] reassembles
-//! them in submission order.
+//! The engine has one job queue. [`EngineHandle::submit`] appends a whole
+//! batch of [`Job`]s to its back in submission order, one task per job,
+//! and every shard takes the task at the front, so a batch spreads over
+//! whichever shards are free and no job waits behind a busy shard while
+//! another is idle. Results stream back over the ticket's channel tagged
+//! with their submission index; [`BatchTicket::wait`] reassembles them in
+//! submission order.
 //!
 //! A caller about to block in [`BatchTicket::recv_next`] (and so in
-//! [`BatchTicket::wait`]) first runs its own batch's last unstarted
+//! [`BatchTicket::wait`]) first takes its own batch's last queued
 //! base-case job — one [`splits`] does not split at the engine's cutoff —
-//! on its own thread, as long as fewer jobs are running engine-wide than
-//! the engine has shards: it takes an idle shard's turn instead of
-//! sleeping behind the queue, and adds no busy thread while every shard
-//! is busy. Whoever claims a slot takes its job out, so each job runs
-//! once, and a shard skips a slot already claimed. Recursing jobs stay on
-//! the shards, whose warm arenas they need; a ticket with a deadline
-//! never runs a job itself; and one caller at a time runs on the engine's
-//! caller arena (a second waiting caller blocks). So an engine of `w`
-//! shards computes on at most `w + 1` threads.
+//! out of the queue and runs it on its own thread, as long as fewer jobs
+//! are running engine-wide than the engine has shards: it takes an idle
+//! shard's turn instead of sleeping behind the queue, and adds no busy
+//! thread while every shard is busy. Whoever removes a task from the
+//! queue runs it, so each job runs once. Recursing jobs stay on the
+//! shards, whose warm arenas they need, and one caller at a time runs on
+//! the engine's caller arena (a second waiting caller blocks). So an
+//! engine of `w` shards computes on at most `w + 1` threads.
 //!
 //! ## Backpressure
 //!
@@ -52,21 +51,19 @@
 //! replaces its arena with a fresh one (the panic may have left it
 //! half-written) and runs the job again, until it succeeds or has failed
 //! [`EngineConfig::max_job_retries`]` + 1` times, when it resolves to a
-//! typed [`JobError::WorkerPanicked`] — never a lost result. A panic
-//! outside a job ends the shard; the jobs queued to it resolve to
-//! [`JobError::ShardLost`], unless a waiting caller runs them first. Every
-//! submitted job therefore resolves to exactly one [`JobResult`], so
-//! [`BatchTicket::wait`]/[`BatchTicket::recv_next`] can never hang on a
-//! dead shard; [`EngineHandle::submit_with_deadline`] additionally bounds
-//! how long the ticket will wait before resolving the remaining jobs to
-//! [`JobError::DeadlineExceeded`].
+//! typed [`JobError::WorkerPanicked`] — never a lost result. Nothing else
+//! in a shard's loop panics, and dropping the handle closes the queue,
+//! which a shard leaves only once it is empty: no path drops a queued
+//! job. Every submitted job therefore resolves to exactly one
+//! [`JobResult`], and [`BatchTicket::wait`]/[`BatchTicket::recv_next`]
+//! can never hang.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use fastmm_matrix::arena::{multiply_into, splits};
 use fastmm_matrix::dense::Matrix;
@@ -182,12 +179,10 @@ pub enum JobError {
         /// The last panic payload, rendered to a string.
         payload: String,
     },
-    /// The batch deadline passed before this job's result arrived
-    /// ([`EngineHandle::submit_with_deadline`]). The job may still
-    /// complete in the background; its late result is discarded.
-    DeadlineExceeded,
-    /// The shard disappeared without resolving the job — the engine was
-    /// torn down, or the shard died of a panic outside a job.
+    /// The batch's result channel closed before this job's result
+    /// arrived. No engine path closes it before every job of the batch
+    /// resolves, so this is the typed form of the one error a channel
+    /// receive can return, not an outcome a caller should expect.
     ShardLost,
 }
 
@@ -197,7 +192,6 @@ impl std::fmt::Display for JobError {
             JobError::WorkerPanicked { attempts, payload } => {
                 write!(f, "worker panicked on all {attempts} attempts: {payload}")
             }
-            JobError::DeadlineExceeded => write!(f, "batch deadline exceeded"),
             JobError::ShardLost => write!(f, "worker shard lost"),
         }
     }
@@ -246,26 +240,24 @@ impl Submit {
 /// the batch in submission order, [`BatchTicket::recv_next`] streams
 /// completions as they land (what the e13 harness uses for per-job
 /// latency). Every slot resolves exactly once — to a product or a typed
-/// [`JobError`] — even if a shard dies or the batch deadline passes; the
-/// ticket can never hang.
+/// [`JobError`]; the ticket can never hang.
 pub struct BatchTicket {
     rx: Receiver<(usize, JobResult)>,
-    /// The batch's jobs, which a waiting caller may claim.
-    slots: Slots,
+    /// The batch's id in the engine queue, which a waiting caller claims
+    /// from.
+    batch: u64,
     shared: Arc<Shared>,
     total: usize,
     resolved: Vec<bool>,
     received: usize,
-    /// Absolute deadline (set by [`EngineHandle::submit_with_deadline`]).
-    deadline: Option<Instant>,
 }
 
 impl std::fmt::Debug for BatchTicket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchTicket")
+            .field("batch", &self.batch)
             .field("total", &self.total)
             .field("received", &self.received)
-            .field("deadline", &self.deadline)
             .finish_non_exhaustive()
     }
 }
@@ -281,18 +273,11 @@ impl BatchTicket {
         self.total == 0
     }
 
-    /// Resolve the first still-unresolved slot to `err`.
-    fn resolve_error(&mut self, err: JobError) -> Option<(usize, JobResult)> {
-        let slot = self.resolved.iter().position(|r| !r)?;
-        self.resolved[slot] = true;
-        self.received += 1;
-        Some((slot, Err(err)))
-    }
-
-    /// Claim this batch's last unstarted base-case job and run it on the
-    /// calling thread, if fewer jobs are running than the engine has
-    /// shards and no other caller holds the caller arena. Returns the
-    /// job's slot and result, or `None` if it ran nothing.
+    /// Take this batch's last queued base-case task out of the engine
+    /// queue and run it on the calling thread, if fewer jobs are running
+    /// than the engine has shards and no other caller holds the caller
+    /// arena. Returns the job's slot and result, or `None` if it ran
+    /// nothing.
     fn claim_and_run(&self) -> Option<(usize, JobResult)> {
         let shared = &*self.shared;
         // Held or poisoned: block as a caller without the arena would.
@@ -302,65 +287,41 @@ impl BatchTicket {
         if shared.running.load(Ordering::SeqCst) >= shared.shards {
             return None;
         }
-        let (slot, job) = lock(&self.slots)
-            .iter_mut()
-            .enumerate()
-            .rev()
-            .find_map(|(slot, j)| Some((slot, j.take_if(|j| shared.is_base_case(j))?)))?;
-        let result = run_job(shared, slot, job, &mut arena);
+        let task = {
+            let mut queue = shared.lock_queue();
+            let i = queue
+                .tasks
+                .iter()
+                .rposition(|t| t.batch == self.batch && shared.is_base_case(&t.job))?;
+            queue.tasks.remove(i)?
+        };
+        let result = run_job(shared, task.slot, task.job, &mut arena);
         arena.trim(DEFAULT_MAX_RETAINED_WORDS);
-        Some((slot, result))
+        Some((task.slot, result))
     }
 
     /// Block for the next resolution: `(submission index, result)`.
     /// Returns `None` once every job in the batch has resolved. Before it
-    /// blocks, a ticket without a deadline runs its batch's last
-    /// unstarted base-case job on the calling thread while a shard is
-    /// idle, and returns that job's result (see the module doc's
-    /// *Batched dispatch*). A dead shard resolves the remaining slots to
-    /// [`JobError::ShardLost`]; a passed deadline resolves them to
-    /// [`JobError::DeadlineExceeded`] (late completions of
-    /// already-resolved slots are discarded).
+    /// blocks, the ticket runs its batch's last queued base-case job on
+    /// the calling thread while a shard is idle, and returns that job's
+    /// result (see the module doc's *Batched dispatch*).
     pub fn recv_next(&mut self) -> Option<(usize, JobResult)> {
-        loop {
-            if self.received == self.total {
-                return None;
-            }
-            let msg = match self.deadline {
-                None => match self.rx.try_recv() {
-                    Err(TryRecvError::Empty) => match self.claim_and_run() {
-                        Some(done) => Ok(done),
-                        None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                    },
-                    msg => msg.map_err(|_| RecvTimeoutError::Disconnected),
-                },
-                Some(dl) => {
-                    let now = Instant::now();
-                    if now >= dl {
-                        return self.resolve_error(JobError::DeadlineExceeded);
-                    }
-                    self.rx.recv_timeout(dl - now)
-                }
-            };
-            match msg {
-                Ok((slot, res)) => {
-                    if self.resolved[slot] {
-                        // A late completion raced an earlier deadline
-                        // resolution of this slot; drop it.
-                        continue;
-                    }
-                    self.resolved[slot] = true;
-                    self.received += 1;
-                    return Some((slot, res));
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return self.resolve_error(JobError::DeadlineExceeded);
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return self.resolve_error(JobError::ShardLost);
-                }
-            }
+        if self.received == self.total {
+            return None;
         }
+        let done = self
+            .rx
+            .try_recv()
+            .ok()
+            .or_else(|| self.claim_and_run())
+            .or_else(|| self.rx.recv().ok());
+        let (slot, result) = done.unwrap_or_else(|| {
+            let open = self.resolved.iter().position(|r| !r);
+            (open.expect("a slot is open"), Err(JobError::ShardLost))
+        });
+        self.resolved[slot] = true;
+        self.received += 1;
+        Some((slot, result))
     }
 
     /// Block until the whole batch resolves; per-job results in
@@ -389,28 +350,27 @@ impl BatchTicket {
     }
 }
 
-/// A submitted batch as one table of claimable slots. Whoever claims a
-/// slot — the shard its work unit went to, or the batch's waiting caller
-/// — takes the job out, so the job runs once and its runner drops its
-/// operands.
-type Slots = Arc<Mutex<Vec<Option<Job>>>>;
-
-/// Lock a batch's slot table. Its only update is an `Option::take`,
-/// which leaves the table valid whenever it stops, so a poisoned lock is
-/// recovered rather than propagated.
-fn lock(slots: &Slots) -> MutexGuard<'_, Vec<Option<Job>>> {
-    slots.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// One slot of a batch en route to a worker shard. The unit holds the
-/// batch's result sender, so a shard that dies drops it and the ticket
-/// sees the channel disconnect.
-struct WorkUnit {
-    slots: Slots,
+/// One queued job. Whoever removes it from the queue — a shard, or its
+/// batch's waiting caller — runs it, so the job runs once and its runner
+/// drops its operands.
+struct Task {
+    /// The id of the batch it was submitted in.
+    batch: u64,
     /// Submission index within its batch.
     slot: usize,
+    job: Job,
     /// Where the owning batch collects results.
     results: Sender<(usize, JobResult)>,
+}
+
+/// The engine's one job queue.
+struct Queue {
+    tasks: VecDeque<Task>,
+    /// Set when the handle drops: a shard then leaves its loop once the
+    /// queue is empty.
+    closed: bool,
+    /// The id the next submitted batch takes.
+    next_batch: u64,
 }
 
 /// Engine state the shards and tickets share with the handle.
@@ -427,6 +387,9 @@ struct Shared {
     /// The arena a waiting caller runs a claimed job on, one caller at a
     /// time.
     caller_arena: Mutex<ScratchArena<f64>>,
+    queue: Mutex<Queue>,
+    /// Signalled when tasks are queued or the queue closes.
+    ready: Condvar,
 }
 
 impl Shared {
@@ -436,17 +399,46 @@ impl Shared {
         let shape = (job.a.rows(), job.a.cols(), job.b.cols());
         !splits(self.schemes[job.scheme].dims(), shape, self.cutoff)
     }
+
+    /// Lock the queue. Each update (append, pop, remove, close) leaves it
+    /// valid whenever it stops, so a poisoned lock is recovered rather
+    /// than propagated.
+    fn lock_queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Block for the task at the queue's front; `None` once the queue is
+    /// closed and empty.
+    fn pop(&self) -> Option<Task> {
+        let mut queue = self.lock_queue();
+        loop {
+            if let Some(task) = queue.tasks.pop_front() {
+                return Some(task);
+            }
+            if queue.closed {
+                return None;
+            }
+            queue = self
+                .ready
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Close the queue: each shard runs what is left, then exits.
+    fn close(&self) {
+        self.lock_queue().closed = true;
+        self.ready.notify_all();
+    }
 }
 
 /// Handle to a running engine: worker shards with warmed arenas, a
 /// resolved cutoff, and a bounded submission queue. Dropping the handle
-/// (or calling [`EngineHandle::shutdown`]) disconnects the shards and
-/// joins them.
+/// (or calling [`EngineHandle::shutdown`]) closes the queue and joins the
+/// shards once they have run every queued job.
 pub struct EngineHandle {
     shared: Arc<Shared>,
-    senders: Vec<Sender<WorkUnit>>,
     workers: Vec<JoinHandle<()>>,
-    next_worker: AtomicUsize,
     queue_capacity: usize,
 }
 
@@ -461,27 +453,23 @@ impl EngineHandle {
     /// is resolved once, here, and shared by every worker for the life of
     /// the engine.
     pub fn start_with_schemes(config: EngineConfig, schemes: Vec<BilinearScheme>) -> Self {
-        let (mut engine, receivers) = Self::unstarted(config, schemes);
-        for (shard, rx) in receivers.into_iter().enumerate() {
+        let mut engine = Self::unstarted(config, schemes);
+        for shard in 0..engine.shared.shards {
             let shared = Arc::clone(&engine.shared);
             engine.workers.push(
                 std::thread::Builder::new()
                     .name(format!("fastmm-serve-{shard}"))
-                    .spawn(move || shard_loop(rx, &shared))
+                    .spawn(move || shard_loop(&shared))
                     .expect("spawning worker shard"),
             );
         }
         engine
     }
 
-    /// The engine with no shard threads yet, and the receiving end of
-    /// each shard's work queue.
-    fn unstarted(
-        config: EngineConfig,
-        schemes: Vec<BilinearScheme>,
-    ) -> (Self, Vec<Receiver<WorkUnit>>) {
+    /// The engine with no shard threads yet: submitted jobs wait in the
+    /// queue.
+    fn unstarted(config: EngineConfig, schemes: Vec<BilinearScheme>) -> Self {
         let shards = config.workers.max(1);
-        let (senders, receivers) = (0..shards).map(|_| channel()).unzip();
         let shared = Shared {
             schemes,
             cutoff: fastmm_matrix::tune::resolve_cutoff(config.cutoff),
@@ -490,15 +478,18 @@ impl EngineHandle {
             in_flight: AtomicUsize::new(0),
             running: AtomicUsize::new(0),
             caller_arena: Mutex::new(ScratchArena::new()),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                closed: false,
+                next_batch: 0,
+            }),
+            ready: Condvar::new(),
         };
-        let engine = EngineHandle {
+        EngineHandle {
             shared: Arc::new(shared),
-            senders,
             workers: Vec::with_capacity(shards),
-            next_worker: AtomicUsize::new(0),
             queue_capacity: config.queue_capacity,
-        };
-        (engine, receivers)
+        }
     }
 
     /// The resolved base-case cutoff every worker runs.
@@ -518,23 +509,10 @@ impl EngineHandle {
 
     /// Submit a batch. Jobs are validated (in-range scheme index,
     /// conformal dimensions — violations panic, as with
-    /// `multiply_scheme`) and dealt round-robin across the shards in
-    /// submission order; the whole batch is either accepted or rejected
-    /// atomically against the queue bound.
+    /// `multiply_scheme`) and appended to the engine queue in submission
+    /// order; the whole batch is either accepted or rejected atomically
+    /// against the queue bound.
     pub fn submit(&self, jobs: Vec<Job>) -> Submit {
-        self.submit_inner(jobs, None)
-    }
-
-    /// [`EngineHandle::submit`] with a per-batch deadline: once
-    /// `deadline` has elapsed, the ticket resolves every still-pending
-    /// job to [`JobError::DeadlineExceeded`] instead of blocking (late
-    /// completions are discarded). The deadline clock starts at
-    /// acceptance. Its jobs run only on the shards.
-    pub fn submit_with_deadline(&self, jobs: Vec<Job>, deadline: Duration) -> Submit {
-        self.submit_inner(jobs, Some(deadline))
-    }
-
-    fn submit_inner(&self, jobs: Vec<Job>, deadline: Option<Duration>) -> Submit {
         for (i, job) in jobs.iter().enumerate() {
             assert!(
                 job.scheme < self.shared.schemes.len(),
@@ -555,49 +533,41 @@ impl EngineHandle {
             return Submit::Rejected { queue_depth: depth };
         }
         let (tx, rx) = channel();
-        let slots: Slots = Arc::new(Mutex::new(jobs.into_iter().map(Some).collect()));
-        let shards = self.senders.len();
-        for slot in 0..n {
-            let w = self.next_worker.fetch_add(1, Ordering::Relaxed) % shards;
-            let unit = WorkUnit {
-                slots: Arc::clone(&slots),
-                slot,
-                results: tx.clone(),
-            };
-            if let Err(failed) = self.senders[w].send(unit) {
-                // The shard is gone (it exits on its own only when its
-                // channel disconnects, so this means a panic outside a
-                // job): resolve the job instead of panicking or leaking
-                // queue capacity, and take it out of the table so no
-                // waiting caller runs it too.
-                let unit = failed.0;
-                lock(&unit.slots)[unit.slot] = None;
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                let _ = unit.results.send((unit.slot, Err(JobError::ShardLost)));
-            }
-        }
+        let batch = {
+            let mut queue = self.shared.lock_queue();
+            let batch = queue.next_batch;
+            queue.next_batch += 1;
+            queue
+                .tasks
+                .extend(jobs.into_iter().enumerate().map(|(slot, job)| Task {
+                    batch,
+                    slot,
+                    job,
+                    results: tx.clone(),
+                }));
+            batch
+        };
+        self.shared.ready.notify_all();
         Submit::Accepted(BatchTicket {
             rx,
-            slots,
+            batch,
             shared: Arc::clone(&self.shared),
             total: n,
             resolved: vec![false; n],
             received: 0,
-            deadline: deadline.map(|d| Instant::now() + d),
         })
     }
 
-    /// Stop the engine gracefully: disconnect the shards — each drains
-    /// every job already queued to it (mpsc delivers queued messages
-    /// before reporting disconnection), resolving them all — then join
-    /// them. Equivalent to dropping the handle, spelled out for call
-    /// sites that want the drain + join to be explicit.
+    /// Stop the engine gracefully: close the queue — the shards run every
+    /// job still queued, resolving them all — then join them. Equivalent
+    /// to dropping the handle, spelled out for call sites that want the
+    /// drain + join to be explicit.
     pub fn shutdown(self) {}
 }
 
 impl Drop for EngineHandle {
     fn drop(&mut self) {
-        self.senders.clear(); // disconnect: shards drain their queue and exit
+        self.shared.close();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -664,22 +634,17 @@ fn run_job(shared: &Shared, slot: usize, job: Job, arena: &mut ScratchArena<f64>
     result
 }
 
-/// One worker shard: run each queued unit's job on this shard's arena,
-/// unless the batch's waiting caller claimed it first, and send the
-/// result to the owning ticket. Every job it claims resolves, so the
-/// ticket never hangs. Returns once `units` ends — for a shard thread,
-/// when the dispatch channel disconnects (engine teardown) and is
-/// drained.
-fn shard_loop(units: impl IntoIterator<Item = WorkUnit>, shared: &Shared) {
+/// One worker shard: take the task at the queue's front, run its job on
+/// this shard's arena, and send the result to the owning ticket. Every
+/// task it takes resolves, so the ticket never hangs. Returns once the
+/// queue is closed (engine teardown) and empty.
+fn shard_loop(shared: &Shared) {
     let mut arena = ScratchArena::new();
-    for unit in units {
-        let Some(job) = lock(&unit.slots)[unit.slot].take() else {
-            continue;
-        };
-        let result = run_job(shared, unit.slot, job, &mut arena);
+    while let Some(task) = shared.pop() {
+        let result = run_job(shared, task.slot, task.job, &mut arena);
         // The ticket may have been dropped; completing is still correct.
-        let _ = unit.results.send((unit.slot, result));
-        // Between units: bound what an idle shard keeps warm.
+        let _ = task.results.send((task.slot, result));
+        // Between tasks: bound what an idle shard keeps warm.
         arena.trim(DEFAULT_MAX_RETAINED_WORDS);
     }
 }
@@ -691,19 +656,26 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// An engine whose work units queue on receivers the test holds, so
-    /// no shard ever takes them: a job runs only on a waiting caller, or
-    /// when the test serves the queue itself ([`serve_queued`]). Nothing
-    /// here depends on thread timing.
-    fn held(config: EngineConfig) -> (EngineHandle, Vec<Receiver<WorkUnit>>) {
+    /// An engine with no shard threads, so no shard ever takes a task: a
+    /// job runs only on a waiting caller, or when the test serves the
+    /// queue itself ([`serve_queued`]). Nothing here depends on thread
+    /// timing.
+    fn held(config: EngineConfig) -> EngineHandle {
         EngineHandle::unstarted(config, all_schemes())
     }
 
-    /// Run every unit queued so far on this thread, as the shards would.
-    fn serve_queued(engine: &EngineHandle, receivers: &[Receiver<WorkUnit>]) {
-        for rx in receivers {
-            shard_loop(rx.try_iter(), &engine.shared);
-        }
+    /// Run every task queued so far on this thread, through the loop the
+    /// shards run: on a closed queue it returns once the queue is empty.
+    fn serve_queued(engine: &EngineHandle) {
+        engine.shared.close();
+        shard_loop(&engine.shared);
+        engine.shared.lock_queue().closed = false;
+    }
+
+    /// The queue's tasks, front to back, as `(batch, slot)`.
+    fn queued(engine: &EngineHandle) -> Vec<(u64, usize)> {
+        let queue = engine.shared.lock_queue();
+        queue.tasks.iter().map(|t| (t.batch, t.slot)).collect()
     }
 
     fn job(rng: &mut StdRng, scheme: usize, (m, k, n): (usize, usize, usize)) -> Job {
@@ -719,7 +691,7 @@ mod tests {
     #[test]
     fn a_waiting_caller_runs_every_base_case_job() {
         let mut rng = StdRng::seed_from_u64(0x5E30E);
-        let (engine, receivers) = held(EngineConfig::new(2).with_cutoff(32));
+        let engine = held(EngineConfig::new(2).with_cutoff(32));
         let mut jobs = Vec::new();
         for scheme in 0..engine.schemes().len() {
             for dims in [(13, 7, 9), (32, 32, 32), (1, 30, 17)] {
@@ -733,16 +705,13 @@ mod tests {
             assert!(got.bits_eq(want), "job {i} diverged from multiply_scheme");
         }
         assert_eq!(engine.queue_depth(), 0, "every job left the queue");
-        // No shard took a unit: each is still queued, its slot claimed.
-        let queued: Vec<WorkUnit> = receivers.iter().flat_map(|rx| rx.try_iter()).collect();
-        assert_eq!(queued.len(), want.len());
-        assert!(queued.iter().all(|u| lock(&u.slots)[u.slot].is_none()));
+        assert!(queued(&engine).is_empty(), "the caller took every task");
     }
 
     #[test]
     fn a_recursing_job_is_never_run_by_the_caller() {
         let mut rng = StdRng::seed_from_u64(0x5E31E);
-        let (engine, receivers) = held(EngineConfig::new(2).with_cutoff(8));
+        let engine = held(EngineConfig::new(2).with_cutoff(8));
         let jobs = vec![
             job(&mut rng, 2, (8, 8, 8)),
             job(&mut rng, 2, (16, 16, 16)),
@@ -757,31 +726,56 @@ mod tests {
             assert_eq!(got, slot);
             assert!(res.expect("base-case job").bits_eq(&want[slot]));
         }
-        assert!(lock(&ticket.slots)[1].is_some(), "nobody claimed it");
+        assert_eq!(queued(&engine), [(ticket.batch, 1)], "nobody claimed it");
         assert_eq!(engine.queue_depth(), 1);
-        // Its shard dies: dropping the queued units drops their senders.
-        for rx in receivers {
-            rx.try_iter().for_each(drop);
-        }
-        assert!(matches!(
-            ticket.recv_next(),
-            Some((1, Err(JobError::ShardLost)))
-        ));
+        // The shards' loop runs it; it leaves the queue and the count.
+        serve_queued(&engine);
+        let (got, res) = ticket.recv_next().expect("the shard's result");
+        assert_eq!(got, 1);
+        assert!(res.expect("recursing job").bits_eq(&want[1]));
         assert!(ticket.recv_next().is_none());
+        assert_eq!(engine.queue_depth(), 0);
+    }
+
+    #[test]
+    fn a_caller_takes_only_its_own_batch() {
+        let mut rng = StdRng::seed_from_u64(0x5E35E);
+        let engine = held(EngineConfig::new(2).with_cutoff(32));
+        let jobs = [job(&mut rng, 2, (16, 16, 16)), job(&mut rng, 2, (9, 4, 11))];
+        let want = expected(&engine, &jobs);
+        let [a, b] = jobs;
+        let mut first = engine.submit(vec![a]).unwrap_ticket();
+        let mut second = engine.submit(vec![b]).unwrap_ticket();
+        let (slot, res) = second.recv_next().expect("the caller runs its own job");
+        assert_eq!(slot, 0);
+        assert!(res.expect("healthy job").bits_eq(&want[1]));
+        assert!(second.recv_next().is_none());
+        // A shard is idle and the first batch's base-case job is queued,
+        // but it is not the second caller's to take.
+        assert!(second.claim_and_run().is_none());
+        assert_eq!(queued(&engine), [(first.batch, 0)]);
+        assert_eq!(engine.queue_depth(), 1);
+        let (slot, res) = first.recv_next().expect("its own caller runs it");
+        assert_eq!(slot, 0);
+        assert!(res.expect("healthy job").bits_eq(&want[0]));
+        assert!(queued(&engine).is_empty());
+        assert_eq!(engine.queue_depth(), 0);
     }
 
     #[test]
     fn a_caller_runs_nothing_while_every_shard_is_busy() {
         let mut rng = StdRng::seed_from_u64(0x5E32E);
-        let (engine, receivers) = held(EngineConfig::new(2).with_cutoff(32));
+        let engine = held(EngineConfig::new(2).with_cutoff(32));
         let jobs: Vec<Job> = (0..3).map(|_| job(&mut rng, 2, (16, 16, 16))).collect();
         let want = expected(&engine, &jobs);
         let mut ticket = engine.submit(jobs).unwrap_ticket();
+        let batch = ticket.batch;
         let running = &engine.shared.running;
         running.store(2, Ordering::SeqCst);
         assert!(ticket.claim_and_run().is_none());
-        assert!(
-            lock(&ticket.slots).iter().all(Option::is_some),
+        assert_eq!(
+            queued(&engine),
+            [(batch, 0), (batch, 1), (batch, 2)],
             "nothing claimed"
         );
         // One shard frees up: the caller takes its turn, once.
@@ -793,7 +787,7 @@ mod tests {
         // Busy again: the shards run the rest.
         running.store(2, Ordering::SeqCst);
         assert!(ticket.claim_and_run().is_none());
-        serve_queued(&engine, &receivers);
+        serve_queued(&engine);
         for slot in [0, 1] {
             let (got, res) = ticket.recv_next().expect("a shard's result");
             assert_eq!(got, slot);
@@ -807,7 +801,7 @@ mod tests {
     fn a_caller_run_job_past_its_retry_budget_resolves_worker_panicked() {
         let mut rng = StdRng::seed_from_u64(0x5E33E);
         let config = EngineConfig::new(1).with_cutoff(32).with_max_job_retries(2);
-        let (engine, _receivers) = held(config);
+        let engine = held(config);
         let jobs = vec![
             job(&mut rng, 3, (16, 16, 16)),
             job(&mut rng, 3, (16, 16, 16)).with_injected_panics(3),
@@ -829,28 +823,12 @@ mod tests {
         assert_eq!(engine.queue_depth(), 0);
     }
 
-    #[test]
-    fn a_deadline_ticket_never_runs_a_job_itself() {
-        let mut rng = StdRng::seed_from_u64(0x5E34E);
-        let (engine, receivers) = held(EngineConfig::new(1).with_cutoff(32));
-        let jobs = vec![job(&mut rng, 2, (16, 16, 16))];
-        assert!(engine.shared.is_base_case(&jobs[0]));
-        let ticket = engine
-            .submit_with_deadline(jobs, Duration::ZERO)
-            .unwrap_ticket();
-        let results = ticket.wait();
-        assert!(matches!(results[..], [Err(JobError::DeadlineExceeded)]));
-        assert_eq!(engine.queue_depth(), 1, "the job never ran");
-        let unit = receivers[0].try_recv().expect("its unit is still queued");
-        assert!(lock(&unit.slots)[unit.slot].is_some(), "nobody claimed it");
-    }
-
     /// The backpressure contract: a full queue rejects instead of
-    /// growing. No shard takes the held units, so the queue stays full
+    /// growing. No shard takes the queued tasks, so the queue stays full
     /// until the test serves it.
     #[test]
     fn full_queue_rejects_instead_of_growing() {
-        let (engine, receivers) = held(EngineConfig::new(1).with_cutoff(32).with_queue_capacity(2));
+        let engine = held(EngineConfig::new(1).with_cutoff(32).with_queue_capacity(2));
         let mut rng = StdRng::seed_from_u64(0x5E23E);
         let square = |n: usize, rng: &mut StdRng| job(rng, 0, (n, n, n));
         // A batch larger than the whole queue is rejected outright, before
@@ -876,7 +854,7 @@ mod tests {
             }
             Submit::Accepted(_) => panic!("overflow past capacity must be rejected"),
         }
-        serve_queued(&engine, &receivers);
+        serve_queued(&engine);
         let results = ticket.wait_products();
         assert_eq!(results.len(), 2);
         assert_eq!(engine.queue_depth(), 0, "queue drains to zero");

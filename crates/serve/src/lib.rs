@@ -13,18 +13,18 @@
 //! Three pieces:
 //!
 //! * [`engine`] — [`EngineHandle`]: worker shards on OS threads, each
-//!   owning a private warmed arena and fed by its own `std::sync::mpsc`
+//!   owning a private warmed arena, all taking jobs from one engine
 //!   queue. A request is a *batch* of (scheme, A, B) jobs; the engine
-//!   deals them out one job per work item, round-robin across the shards
-//!   in submission order, and a caller waiting on its ticket runs its own
-//!   batch's base-case jobs (those the cutoff does not split) on its own
-//!   thread while a shard is idle. Admission applies **bounded-queue
-//!   backpressure**: a submit that would exceed the queue capacity returns
-//!   [`Submit::Rejected`] with the observed depth instead of buffering
-//!   without bound. Jobs are **supervised**: a job that panics is retried
-//!   in place on a fresh arena up to
-//!   [`EngineConfig::with_max_job_retries`] times and then surfaced as a
-//!   typed [`JobError`] — a ticket never hangs.
+//!   appends it to the queue in submission order, each shard takes the
+//!   job at the front, and a caller waiting on its ticket takes its own
+//!   batch's base-case jobs (those the cutoff does not split) out of the
+//!   queue and runs them on its own thread while a shard is idle.
+//!   Admission applies **bounded-queue backpressure**: a submit that
+//!   would exceed the queue capacity returns [`Submit::Rejected`] with the
+//!   observed depth instead of buffering without bound. Jobs are
+//!   **supervised**: a job that panics is retried in place on a fresh
+//!   arena up to [`EngineConfig::with_max_job_retries`] times and then
+//!   surfaced as a typed [`JobError`] — a ticket never hangs.
 //! * [`ser`] — the length-prefixed binary wire format: versioned header,
 //!   checked deserialization. Malformed frames return typed
 //!   [`ser::WireError`]s — never panic — and zero-dimension operands are

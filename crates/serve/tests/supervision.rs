@@ -5,8 +5,6 @@
 //! [`JobError::WorkerPanicked`] on that job's slot — every other job in
 //! the batch still completes, bitwise identical to `multiply_scheme`.
 
-use std::time::Duration;
-
 use fastmm_matrix::dense::Matrix;
 use fastmm_matrix::recursive::multiply_scheme;
 use fastmm_matrix::scheme::all_schemes;
@@ -95,32 +93,6 @@ fn retry_exhaustion_reports_attempt_count() {
     engine.shutdown();
 }
 
-/// `submit_with_deadline`: a deadline that can't possibly be met resolves
-/// every outstanding slot to `DeadlineExceeded` instead of blocking the
-/// caller on a dead or slow shard.
-#[test]
-fn deadline_resolves_instead_of_hanging() {
-    let mut rng = StdRng::seed_from_u64(0x5E27E);
-    let engine = EngineHandle::start(EngineConfig::new(1).with_cutoff(8).with_max_job_retries(0));
-    // A poisoned job with an enormous retry appetite would stall the shard
-    // in its retry loop if retries were unbounded; with the deadline the
-    // ticket resolves regardless.
-    let poison = job(&mut rng, 16, 16, 16).with_injected_panics(u32::MAX);
-    let ticket = engine
-        .submit_with_deadline(vec![poison, job(&mut rng, 512, 512, 512)], Duration::ZERO)
-        .unwrap_ticket();
-    let results = ticket.wait();
-    assert_eq!(results.len(), 2);
-    for (i, r) in results.iter().enumerate() {
-        match r {
-            Err(JobError::DeadlineExceeded) | Err(JobError::WorkerPanicked { .. }) => {}
-            Ok(_) if i == 1 => {} // the healthy job may beat even Duration::ZERO
-            other => panic!("slot {i}: expected a resolution, got {other:?}"),
-        }
-    }
-    engine.shutdown();
-}
-
 /// `recv_next` streams per-job resolutions: with a mixed batch, the
 /// caller sees exactly one resolution per slot — failures included — and
 /// then `None`.
@@ -144,8 +116,8 @@ fn recv_next_resolves_every_slot_exactly_once() {
 }
 
 /// Graceful shutdown: dropping the handle after submitting still lets the
-/// queued work drain — mpsc delivers queued messages before reporting
-/// disconnect, and the shard only exits once the channel is empty.
+/// queued work drain — dropping closes the queue, and a shard only exits
+/// once the closed queue is empty.
 #[test]
 fn shutdown_drains_queued_work() {
     let schemes = all_schemes();
